@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
+#include <span>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -71,6 +71,9 @@ std::pair<std::vector<std::uint32_t>, std::size_t> heavy_pin_round(
 }
 
 /// Contract `fine` through `globule`, folding identical nets together.
+/// Coarse nets keep the order of their first occurrence among the fine
+/// nets: the rating sums of the next heavy_pin_round are floating-point,
+/// so net order is part of the result.
 Hypergraph contract(const Hypergraph& fine,
                     const std::vector<std::uint32_t>& globule,
                     std::size_t num_globules) {
@@ -79,38 +82,62 @@ Hypergraph contract(const Hypergraph& fine,
     vweight[globule[v]] += fine.vertex_weight(v);
   }
 
-  std::vector<std::vector<VertexId>> nets;
+  // Coarse nets in CSR form.  A candidate net's pins are written straight
+  // into `pins` and dropped again if the net is swallowed or a duplicate.
+  std::vector<std::uint32_t> net_off{0};
+  std::vector<VertexId> pins;
+  pins.reserve(fine.num_pins());
   std::vector<std::uint32_t> net_weights;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash;
-  std::vector<VertexId> coarse_pins;
+  std::vector<std::uint64_t> net_hash;
+
+  // Open-addressing table of coarse net ids, keyed by pin-set hash.  At
+  // least twice as many slots as fine nets keeps the load below 1/2.
+  unsigned log_slots = 4;
+  while ((std::size_t{1} << log_slots) < 2 * fine.num_nets()) ++log_slots;
+  const std::size_t mask = (std::size_t{1} << log_slots) - 1;
+  std::vector<std::uint32_t> table(mask + 1, kNone);
+
   for (NetId e = 0; e < fine.num_nets(); ++e) {
-    coarse_pins.clear();
-    for (VertexId v : fine.pins(e)) coarse_pins.push_back(globule[v]);
-    std::sort(coarse_pins.begin(), coarse_pins.end());
-    coarse_pins.erase(std::unique(coarse_pins.begin(), coarse_pins.end()),
-                      coarse_pins.end());
-    if (coarse_pins.size() < 2) continue;  // net swallowed by a globule
+    const std::size_t start = pins.size();
+    for (VertexId v : fine.pins(e)) pins.push_back(globule[v]);
+    std::sort(pins.begin() + static_cast<std::ptrdiff_t>(start), pins.end());
+    pins.erase(std::unique(pins.begin() + static_cast<std::ptrdiff_t>(start),
+                           pins.end()),
+               pins.end());
+    const std::span<const VertexId> cand(pins.data() + start,
+                                         pins.size() - start);
+    if (cand.size() < 2) {  // net swallowed by a globule
+      pins.resize(start);
+      continue;
+    }
 
     std::uint64_t h = 1469598103934665603ULL;  // FNV-1a over the pin ids
-    for (VertexId v : coarse_pins) {
+    for (VertexId v : cand) {
       h ^= v;
       h *= 1099511628211ULL;
     }
-    bool merged = false;
-    for (std::uint32_t idx : by_hash[h]) {
-      if (nets[idx] == coarse_pins) {
+    // Fibonacci hashing takes the slot from the well-mixed high bits.
+    for (std::size_t slot = (h * 0x9E3779B97F4A7C15ULL) >> (64 - log_slots);;
+         slot = (slot + 1) & mask) {
+      const std::uint32_t idx = table[slot];
+      if (idx == kNone) {
+        table[slot] = static_cast<std::uint32_t>(net_weights.size());
+        net_off.push_back(static_cast<std::uint32_t>(pins.size()));
+        net_weights.push_back(fine.net_weight(e));
+        net_hash.push_back(h);
+        break;
+      }
+      if (net_hash[idx] == h &&
+          std::equal(cand.begin(), cand.end(), pins.begin() + net_off[idx],
+                     pins.begin() + net_off[idx + 1])) {
         net_weights[idx] += fine.net_weight(e);
-        merged = true;
+        pins.resize(start);
         break;
       }
     }
-    if (!merged) {
-      by_hash[h].push_back(static_cast<std::uint32_t>(nets.size()));
-      nets.push_back(coarse_pins);
-      net_weights.push_back(fine.net_weight(e));
-    }
   }
-  return Hypergraph(std::move(vweight), nets, net_weights);
+  return Hypergraph(std::move(vweight), std::move(net_off), std::move(pins),
+                    std::move(net_weights));
 }
 
 }  // namespace

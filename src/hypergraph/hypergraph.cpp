@@ -33,6 +33,32 @@ Hypergraph::Hypergraph(std::vector<std::uint32_t> vertex_weights,
   build_incidence();
 }
 
+Hypergraph::Hypergraph(std::vector<std::uint32_t> vertex_weights,
+                       std::vector<std::uint32_t> net_offsets,
+                       std::vector<VertexId> pins,
+                       std::vector<std::uint32_t> net_weights)
+    : vweight_(std::move(vertex_weights)),
+      net_off_(std::move(net_offsets)),
+      pins_(std::move(pins)),
+      net_weight_(std::move(net_weights)) {
+  PLS_CHECK_MSG(net_off_.size() == net_weight_.size() + 1 &&
+                    net_off_.front() == 0 && net_off_.back() == pins_.size(),
+                "net offsets must frame the pin array, one net per weight");
+  for (NetId e = 0; e < num_nets(); ++e) {
+    PLS_CHECK_MSG(net_off_[e] + 2 <= net_off_[e + 1],
+                  "net " << e << " has fewer than two pins");
+    for (std::uint32_t i = net_off_[e]; i < net_off_[e + 1]; ++i) {
+      PLS_CHECK_MSG(pins_[i] < vweight_.size(),
+                    "pin " << pins_[i] << " out of range");
+      PLS_CHECK_MSG(i == net_off_[e] || pins_[i - 1] < pins_[i],
+                    "net " << e << " pins not strictly ascending");
+    }
+  }
+  total_weight_ = std::accumulate(vweight_.begin(), vweight_.end(),
+                                  std::uint64_t{0});
+  build_incidence();
+}
+
 Hypergraph Hypergraph::from_circuit(const circuit::Circuit& c) {
   return from_circuit(c, nullptr);
 }

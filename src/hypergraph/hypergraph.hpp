@@ -38,6 +38,15 @@ class Hypergraph {
              const std::vector<std::vector<VertexId>>& nets,
              const std::vector<std::uint32_t>& net_weights = {});
 
+  /// Build from nets already in CSR form: net e's pins are
+  /// pins[net_offsets[e] .. net_offsets[e+1]), strictly ascending, at
+  /// least two per net.  The arrays are taken over as they are — nothing
+  /// is copied, sorted or dropped — and the shape is checked.
+  Hypergraph(std::vector<std::uint32_t> vertex_weights,
+             std::vector<std::uint32_t> net_offsets,
+             std::vector<VertexId> pins,
+             std::vector<std::uint32_t> net_weights);
+
   /// One vertex per gate (weight 1); one hyperedge per driving gate's
   /// fanout net, pins = {driver} ∪ fanouts(driver).  Gates with no fanout
   /// (or whose only sink is themselves) contribute no net.

@@ -65,6 +65,44 @@ class GainBuckets {
   std::int64_t top_;
 };
 
+/// The gain terms recomputed from Φ: conn[v·k+q] = Σ w(e) over nets e ∋ v
+/// with Φ(e,q) > 0, freed[v] = Σ w(e) over nets e ∋ v with Φ(e,home) == 1.
+/// Builds the cache once per refine_fm call and, in debug builds, checks
+/// the incrementally maintained copy after every pass.
+void compute_gain_terms(const Hypergraph& hg, const partition::Partition& p,
+                        const std::vector<std::uint32_t>& phi,
+                        std::vector<std::int64_t>& conn,
+                        std::vector<std::int64_t>& freed) {
+  const std::uint32_t k = p.k;
+  conn.assign(hg.num_vertices() * k, 0);
+  freed.assign(hg.num_vertices(), 0);
+  std::vector<PartId> parts;
+  for (NetId e = 0; e < hg.num_nets(); ++e) {
+    const auto w = static_cast<std::int64_t>(hg.net_weight(e));
+    if (w == 0) continue;
+    const std::uint32_t* row = phi.data() + std::size_t{e} * k;
+    parts.clear();
+    for (PartId q = 0; q < k; ++q) {
+      if (row[q] > 0) parts.push_back(q);
+    }
+    for (VertexId u : hg.pins(e)) {
+      for (PartId q : parts) conn[std::size_t{u} * k + q] += w;
+      if (row[p.assign[u]] == 1) freed[u] += w;
+    }
+  }
+}
+
+[[maybe_unused]] bool gain_cache_consistent(
+    const Hypergraph& hg, const partition::Partition& p,
+    const std::vector<std::uint32_t>& phi,
+    const std::vector<std::int64_t>& conn,
+    const std::vector<std::int64_t>& freed) {
+  std::vector<std::int64_t> fresh_conn;
+  std::vector<std::int64_t> fresh_freed;
+  compute_gain_terms(hg, p, phi, fresh_conn, fresh_freed);
+  return fresh_conn == conn && fresh_freed == freed;
+}
+
 }  // namespace
 
 HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
@@ -78,19 +116,22 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
   res.lambda_after = res.lambda_before;
   if (k < 2 || n == 0) return res;
 
-  // Φ(e,q): pins of net e in part q, stored flat — plus, per net, the
-  // candidate list of parts it actually touches.  Gain evaluation then
-  // iterates O(Σ_e∋v λ(e)) candidate entries (λ is 1–2 for almost every
-  // net) instead of scanning all k parts per net, which was the FM
-  // hot loop's dominant cost at larger k.
+  // Φ(e,q): pins of net e in part q, stored flat.
   std::vector<std::uint32_t> phi(hg.num_nets() * k, 0);
-  std::vector<std::vector<PartId>> net_parts(hg.num_nets());
   for (NetId e = 0; e < hg.num_nets(); ++e) {
-    for (VertexId v : hg.pins(e)) {
-      if (phi[std::size_t{e} * k + p.assign[v]]++ == 0) {
-        net_parts[e].push_back(p.assign[v]);
-      }
-    }
+    for (VertexId v : hg.pins(e)) ++phi[std::size_t{e} * k + p.assign[v]];
+  }
+
+  // Gain cache (see refine.hpp): conn and freed are kept exact by apply(),
+  // degw is the constant weighted degree.
+  std::vector<std::int64_t> conn;
+  std::vector<std::int64_t> freed;
+  compute_gain_terms(hg, p, phi, conn, freed);
+  std::vector<std::int64_t> degw(n);
+  std::int64_t max_degw = 1;
+  for (VertexId v = 0; v < n; ++v) {
+    degw[v] = static_cast<std::int64_t>(hg.weighted_degree(v));
+    max_degw = std::max(max_degw, degw[v]);
   }
 
   std::vector<std::uint64_t> load(k, 0);
@@ -98,70 +139,29 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
   const std::uint64_t limit =
       multilevel::balance_limit(hg.total_vertex_weight(), k, opt.balance_tol);
 
-  // Two least-loaded parts (lowest id on ties), maintained across moves:
-  // the no-adjacent-candidate fallback below needs "least-loaded part
-  // other than home" in O(1).  Recomputing costs O(k) but only per
-  // *applied move*, not per gain evaluation.
-  PartId min_load_1 = 0;
-  PartId min_load_2 = 0;
-  auto recompute_min_loads = [&] {
-    min_load_1 = 0;
-    for (PartId q = 1; q < k; ++q) {
-      if (load[q] < load[min_load_1]) min_load_1 = q;
-    }
-    min_load_2 = min_load_1 == 0 ? 1 : 0;
-    for (PartId q = 0; q < k; ++q) {
-      if (q != min_load_1 && load[q] < load[min_load_2]) min_load_2 = q;
-    }
-  };
-  recompute_min_loads();
-
-  // Best move of v under the λ−1 gain (balance checked at pop time).
-  // Any part adjacent to v through some net strictly beats every
-  // non-adjacent part (its gain is larger by the shared net weight), so
-  // only the candidate lists need scanning; non-adjacent parts matter
-  // only when v is entirely interior to its home part, where the move is
-  // pure balance and the least-loaded part is the canonical target.
-  std::vector<std::uint64_t> present(k, 0);
-  std::vector<PartId> touched;
+  // Best move of v under the λ−1 gain (balance checked at pop time): the
+  // part q != home maximizing (gain, −load, −q), gain = freed − degw +
+  // conn[v·k+q].  A part not adjacent to v has conn 0, so it wins only
+  // when v is interior to home, as the least-loaded other part.  Never
+  // returns home (k >= 2).
   auto best_move = [&](VertexId v) -> std::pair<std::int64_t, PartId> {
     const PartId home = p.assign[v];
-    std::int64_t freed = 0;  // gain from leaving home, target-independent
-    std::int64_t degw = 0;
-    for (NetId e : hg.nets(v)) {
-      const auto w = static_cast<std::int64_t>(hg.net_weight(e));
-      if (w == 0) continue;  // weightless nets cannot move any gain
-      degw += w;
-      if (phi[std::size_t{e} * k + home] == 1) freed += w;
-      for (PartId q : net_parts[e]) {
-        if (q == home) continue;
-        if (present[q] == 0) touched.push_back(q);
-        present[q] += static_cast<std::uint64_t>(w);
-      }
-    }
-    std::int64_t best_gain = freed - degw;
-    PartId best_part = min_load_1 != home ? min_load_1 : min_load_2;
-    for (PartId q : touched) {
-      const std::int64_t gain =
-          freed - degw + static_cast<std::int64_t>(present[q]);
-      if (gain > best_gain ||
-          (gain == best_gain && (load[q] < load[best_part] ||
-                                 (load[q] == load[best_part] &&
-                                  q < best_part)))) {
+    const std::int64_t base = freed[v] - degw[v];
+    const std::int64_t* row = conn.data() + std::size_t{v} * k;
+    PartId best_part = home;
+    std::int64_t best_gain = 0;
+    for (PartId q = 0; q < k; ++q) {
+      if (q == home) continue;
+      const std::int64_t gain = base + row[q];
+      if (best_part == home || gain > best_gain ||
+          (gain == best_gain && load[q] < load[best_part])) {
         best_gain = gain;
         best_part = q;
       }
-      present[q] = 0;
     }
-    touched.clear();
     return {best_gain, best_part};
   };
 
-  std::int64_t max_degw = 1;
-  for (VertexId v = 0; v < n; ++v) {
-    max_degw = std::max(max_degw,
-                        static_cast<std::int64_t>(hg.weighted_degree(v)));
-  }
   GainBuckets buckets(max_degw);
   std::vector<std::uint32_t> stamp(n, 0);
   std::vector<std::uint8_t> locked(n, 0);
@@ -172,19 +172,40 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
     PartId to;
   };
 
+  // Move v and update the gain cache.  Only four Φ transitions change a
+  // gain term: Φ(e,from) falling to 0 (from leaves every pin's conn) or
+  // to 1 (the last pin left in from gains freed), Φ(e,to) rising to 1
+  // (to enters every pin's conn) or to 2 (the pin that was alone in to
+  // loses freed).  v's own freed is rebuilt against its new home.
   auto apply = [&](VertexId v, PartId from, PartId to) {
+    std::int64_t v_freed = 0;
     for (NetId e : hg.nets(v)) {
-      auto& np = net_parts[e];
-      if (--phi[std::size_t{e} * k + from] == 0) {
-        np.erase(std::find(np.begin(), np.end(), from));
+      std::uint32_t* row = phi.data() + std::size_t{e} * k;
+      const std::uint32_t a = --row[from];
+      const std::uint32_t b = ++row[to];
+      const auto w = static_cast<std::int64_t>(hg.net_weight(e));
+      if (b == 1) v_freed += w;
+      if (w == 0 || (a > 1 && b > 2)) continue;
+      for (VertexId u : hg.pins(e)) {
+        std::int64_t* cu = conn.data() + std::size_t{u} * k;
+        if (a == 0) cu[from] -= w;
+        if (b == 1) cu[to] += w;
+        if (u == v) continue;
+        if (a == 1 && p.assign[u] == from) freed[u] += w;
+        if (b == 2 && p.assign[u] == to) freed[u] -= w;
       }
-      if (phi[std::size_t{e} * k + to]++ == 0) np.push_back(to);
     }
+    freed[v] = v_freed;
     p.assign[v] = to;
     load[from] -= hg.vertex_weight(v);
     load[to] += hg.vertex_weight(v);
-    recompute_min_loads();
   };
+
+  // Refresh scratch: pins of the nets a move made critical, with
+  // repeats, and the move that last saw each vertex.
+  std::vector<VertexId> refresh;
+  std::vector<std::uint32_t> seen(n, 0);
+  std::uint32_t move_no = 0;
 
   for (std::uint32_t iter = 0; iter < opt.max_iters; ++iter) {
     ++res.iterations;
@@ -192,8 +213,7 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
     buckets.clear();
     std::fill(locked.begin(), locked.end(), 0);
     for (VertexId v = 0; v < n; ++v) {
-      const auto [gain, part] = best_move(v);
-      if (part != p.assign[v]) buckets.push(gain, {v, stamp[v]});
+      buckets.push(best_move(v).first, {v, stamp[v]});
     }
 
     std::vector<Move> log;
@@ -211,7 +231,6 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
         buckets.push(gain, {top.v, stamp[top.v]});
         continue;
       }
-      if (target == p.assign[top.v]) continue;
       if (load[target] + hg.vertex_weight(top.v) > limit) continue;
 
       const PartId from = p.assign[top.v];
@@ -227,15 +246,30 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
 
       // Refresh pins of nets the move made (or un-made) critical: gains
       // change only when Φ(e,from) fell to 0/1 or Φ(e,to) rose to 1/2.
+      // A pin of several such nets is re-queued once, at the position of
+      // its last occurrence: every re-queue in one refresh sees the same
+      // gain and only the last one stays valid, so this keeps each
+      // bucket's order of valid entries — and every tie-break — intact.
+      refresh.clear();
       for (NetId e : hg.nets(top.v)) {
         const std::uint32_t* row = phi.data() + std::size_t{e} * k;
         if (row[from] > 1 && row[target] > 2) continue;
         for (VertexId u : hg.pins(e)) {
-          if (locked[u] || u == top.v) continue;
-          ++stamp[u];
-          const auto [ngain, npart] = best_move(u);
-          if (npart != p.assign[u]) buckets.push(ngain, {u, stamp[u]});
+          if (!locked[u]) refresh.push_back(u);
         }
+      }
+      ++move_no;
+      std::size_t keep = refresh.size();
+      for (std::size_t i = refresh.size(); i-- > 0;) {
+        const VertexId u = refresh[i];
+        if (seen[u] == move_no) continue;
+        seen[u] = move_no;
+        refresh[--keep] = u;
+      }
+      for (std::size_t i = keep; i < refresh.size(); ++i) {
+        const VertexId u = refresh[i];
+        ++stamp[u];
+        buckets.push(best_move(u).first, {u, stamp[u]});
       }
     }
 
@@ -248,6 +282,7 @@ HgRefineResult refine_fm(const Hypergraph& hg, partition::Partition& p,
 
     PLS_CHECK_MSG(res.lambda_after == connectivity_minus_one(hg, p),
                   "FM bookkeeping diverged from the λ−1 metric");
+    PLS_DCHECK(gain_cache_consistent(hg, p, phi, conn, freed));
     if (best_cum == 0) break;  // pass found no improvement: converged
   }
 

@@ -9,6 +9,13 @@
 // Time Warp layer pays per signal transition, unlike graph refinement
 // which optimizes the symmetrized-clique proxy.
 //
+// The gain terms are cached per vertex: conn[v·k+q] = Σ w(e) over nets
+// e ∋ v with Φ(e,q) > 0, and freed[v] = Σ w(e) over nets e ∋ v with
+// Φ(e,home) == 1, so gain(v → q) = freed[v] − wdeg(v) + conn[v·k+q] and
+// the best move of a vertex costs O(k).  A move updates the cache only on
+// the Φ transitions that change a gain (from-count falling to 0 or 1,
+// to-count rising to 1 or 2).
+//
 // Moves are selected from gain buckets (an array of vectors indexed by
 // gain, with lazy invalidation stamps), FM-style: zero- and negative-gain
 // moves are allowed during a pass, each pass keeps a move log and rolls
