@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <queue>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -28,10 +29,10 @@ struct SeqLp {
   SimTime next_time() const noexcept {
     return has_pending() ? queue[head].recv_time : kEndOfTime;
   }
-  void insert(const Event& ev) {
+  void insert(Event&& ev) {
     auto pos = std::lower_bound(queue.begin() + static_cast<std::ptrdiff_t>(head),
                                 queue.end(), ev);
-    queue.insert(pos, ev);
+    queue.insert(pos, std::move(ev));
   }
   void compact() {
     if (head > 4096 && head * 2 > queue.size()) {
@@ -77,14 +78,13 @@ class SeqContext final : public warped::Context {
                   "sequential send not after now");
     Event ev;
     ev.recv_time = recv_time;
-    ev.send_time = now_;
     ev.target = target;
     ev.sender = self_;
     ev.port = port;
     ev.value = value;
     ev.mask = mask;
     ev.id = (*lps_)[self_].next_id++;
-    (*lps_)[target].insert(ev);
+    (*lps_)[target].insert(std::move(ev));
     sched_->push(SchedEntry{recv_time, target});
     // Self-sends are scheduling ticks (DFF clocks, stimulus timers), not
     // net traffic — counting them would mark every clocked LP "hot"
@@ -105,7 +105,6 @@ class SeqContext final : public warped::Context {
                   "sequential send not after now");
     Event ev;
     ev.recv_time = recv_time;
-    ev.send_time = now_;
     ev.target = target;
     ev.sender = self_;
     ev.port = port;
@@ -115,7 +114,7 @@ class SeqContext final : public warped::Context {
       ev.set_mask_word(w, masks[w]);
     }
     ev.id = (*lps_)[self_].next_id++;
-    (*lps_)[target].insert(ev);
+    (*lps_)[target].insert(std::move(ev));
     sched_->push(SchedEntry{recv_time, target});
     if (target != self_) {
       for (std::uint32_t w = 0; w < k; ++w) {

@@ -64,7 +64,7 @@ struct MigrationMsg {
   std::uint32_t batches_since_snapshot = 0;
   std::vector<Event> queue;  ///< committed prefix + pending input events
   std::vector<Snapshot> snapshots;
-  std::vector<Event> output_queue;
+  std::vector<SentRecord> output_queue;
   std::vector<Event> pending_antis;
 
   /// Monotonic send-id source: must survive the move, or a stale anti in

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <thread>
+#include <utility>
 
 #include "obs/session.hpp"
 #include "util/check.hpp"
@@ -23,6 +23,37 @@ struct SchedEntry {
     if (a.time != b.time) return a.time > b.time;
     return a.lp > b.lp;
   }
+};
+
+/// Routing work queue: a vector consumed through a head index.  Taking
+/// the last event resets both in place, so a queue that drains once per
+/// poll reuses one buffer for the whole run and routing allocates
+/// nothing in steady state (a std::deque allocates a chunk every 8).
+class EventFifo {
+ public:
+  bool empty() const noexcept { return head_ == buf_.size(); }
+  std::size_t size() const noexcept { return buf_.size() - head_; }
+
+  void push(Event&& ev) { buf_.push_back(std::move(ev)); }
+
+  /// Move the oldest event out (precondition: !empty()).
+  Event pop() {
+    Event ev = std::move(buf_[head_]);
+    if (++head_ == buf_.size()) clear();
+    return ev;
+  }
+
+  void clear() noexcept {
+    buf_.clear();
+    head_ = 0;
+  }
+
+  const Event* begin() const noexcept { return buf_.data() + head_; }
+  const Event* end() const noexcept { return buf_.data() + buf_.size(); }
+
+ private:
+  std::vector<Event> buf_;
+  std::size_t head_ = 0;
 };
 
 /// Idle polls (with yield) before the loop starts napping instead of
@@ -55,7 +86,7 @@ struct Kernel::Cluster {
 
   HoldingHeap holding;
   std::vector<InFlight> drain_buf;
-  std::deque<Event> pending;  ///< routing work queue (FIFO per channel)
+  EventFifo pending;  ///< routing work queue (FIFO per channel)
   std::uint64_t net_seq = 0;
 
   /// Per-destination send buffers (channel.hpp): remote routes add here
@@ -191,7 +222,7 @@ namespace {
 class ClusterContext final : public Context {
  public:
   ClusterContext(SimTime now, SimTime end, LpId self, LpRuntime* rt,
-                 std::deque<Event>* out, bool suppress, bool init_mode)
+                 EventFifo* out, bool suppress, bool init_mode)
       : now_(now), end_(end), self_(self), rt_(rt), out_(out),
         suppress_(suppress), init_mode_(init_mode) {}
 
@@ -210,7 +241,6 @@ class ClusterContext final : public Context {
     if (suppress_) return;  // coast-forward replay: outputs already exist
     Event ev;
     ev.recv_time = recv_time;
-    ev.send_time = now_;
     ev.target = target;
     ev.sender = self_;
     ev.port = port;
@@ -218,8 +248,8 @@ class ClusterContext final : public Context {
     ev.mask = mask;
     ev.sign = Sign::kPositive;
     ev.id = rt_->alloc_event_id();
-    rt_->record_output(ev);
-    out_->push_back(ev);
+    rt_->record_output(ev, now_);
+    out_->push(std::move(ev));
   }
 
   void send_wide(LpId target, SimTime recv_time, std::uint32_t port,
@@ -237,7 +267,6 @@ class ClusterContext final : public Context {
     if (suppress_) return;
     Event ev;
     ev.recv_time = recv_time;
-    ev.send_time = now_;
     ev.target = target;
     ev.sender = self_;
     ev.port = port;
@@ -248,8 +277,8 @@ class ClusterContext final : public Context {
       ev.set_mask_word(w, masks[w]);
     }
     ev.id = rt_->alloc_event_id();
-    rt_->record_output(ev);
-    out_->push_back(ev);
+    rt_->record_output(ev, now_);
+    out_->push(std::move(ev));
   }
 
  private:
@@ -257,7 +286,7 @@ class ClusterContext final : public Context {
   SimTime end_;
   LpId self_;
   LpRuntime* rt_;
-  std::deque<Event>* out_;
+  EventFifo* out_;
   bool suppress_;
   bool init_mode_;
 };
@@ -361,7 +390,7 @@ Kernel::~Kernel() = default;
 void Kernel::init_all_lps() {
   // Single-threaded elaboration: run every LP's init() and deliver its
   // initial sends directly (no network, no rollbacks possible yet).
-  std::deque<Event> out;
+  EventFifo out;
   for (LpId i = 0; i < lps_.size(); ++i) {
     runtimes_[i].install_initial_state(lps_[i]->initial_state());
   }
@@ -370,9 +399,9 @@ void Kernel::init_all_lps() {
                        /*suppress=*/false, /*init_mode=*/true);
     lps_[i]->init(ctx);
     while (!out.empty()) {
-      const Event ev = out.front();
-      out.pop_front();
-      const auto res = runtimes_[ev.target].insert(ev);
+      Event ev = out.pop();
+      const LpId target = ev.target;
+      const auto res = runtimes_[target].insert(std::move(ev));
       PLS_CHECK_MSG(!res.rolled_back, "rollback during init phase");
     }
   }
@@ -406,35 +435,33 @@ void Kernel::node_main(std::uint32_t node) {
   // more hop.
   auto route_pending = [&] {
     while (!cl.pending.empty()) {
-      const Event ev = cl.pending.front();
-      cl.pending.pop_front();
+      Event ev = cl.pending.pop();
+      const LpId target = ev.target;
       const std::uint32_t target_node =
-          route_[ev.target].load(std::memory_order_relaxed);
+          route_[target].load(std::memory_order_relaxed);
       if (target_node == node) {
-        if (!cl.installed[ev.target]) {
+        if (!cl.installed[target]) {
           // The LP is migrating here and its package has not arrived yet;
           // park the event until the install.
-          cl.limbo.push_back(ev);
+          cl.limbo.push_back(std::move(ev));
           continue;
         }
-        auto res = runtimes_[ev.target].insert(ev);
         if (ev.sign == Sign::kPositive) ++cl.stats.intra_node_events;
+        auto res = runtimes_[target].insert(std::move(ev));
         if (res.rolled_back) {
           if (res.secondary) ++cl.stats.secondary_rollbacks;
           else ++cl.stats.primary_rollbacks;
           cl.stats.events_rolled_back += res.unprocessed_events;
           cl.throttle.note_rollback(res.unprocessed_events);
-          for (Event& anti : res.antis) {
-            cl.pending.push_back(anti);
-          }
+          for (Event& anti : res.antis) cl.pending.push(std::move(anti));
           if (cl.trace != nullptr) {
             cl.trace->record(obs::TraceKind::kRollback, steady_now_ns(), 0,
                              res.unprocessed_events, res.secondary ? 1 : 0,
-                             ev.target);
+                             target);
           }
         }
-        cl.push_sched(runtimes_[ev.target].next_time(), ev.target);
-        cl.note_live(runtimes_, ev.target);
+        cl.push_sched(runtimes_[target].next_time(), target);
+        cl.note_live(runtimes_, target);
       } else {
         if (cfg_.network.send_overhead_ns > 0) {
           util::busy_spin_ns(cfg_.network.send_overhead_ns);
@@ -444,7 +471,7 @@ void Kernel::node_main(std::uint32_t node) {
         InFlight f;
         f.seq = cl.net_seq++;
         f.epoch = cl.my_round;
-        f.event = ev;
+        f.event = std::move(ev);
         // Count before buffering: the receive counter must never
         // overtake, and a buffered white must already be on the books so
         // its GVT round cannot conclude until the flush drains.
@@ -542,7 +569,7 @@ void Kernel::node_main(std::uint32_t node) {
       if (f.migration != nullptr) {
         install_migration(cl, std::move(*f.migration));
       } else {
-        cl.pending.push_back(f.event);
+        cl.pending.push(std::move(f.event));
       }
     }
     route_pending();
@@ -856,7 +883,7 @@ void Kernel::emigrate_planned(Cluster& cl) {
     if (res.rolled_back) {
       ++cl.stats.primary_rollbacks;
       cl.stats.events_rolled_back += res.unprocessed_events;
-      for (Event& anti : res.antis) cl.pending.push_back(anti);
+      for (Event& anti : res.antis) cl.pending.push(std::move(anti));
     }
     // 2. Commit everything GVT already covers; less to ship.
     cl.stats.events_committed += rt.fossil_collect(g).committed_events;
@@ -938,7 +965,7 @@ void Kernel::install_migration(Cluster& cl, MigrationMsg&& msg) {
   // arrival order (the caller's route_pending inserts them next).
   for (std::size_t i = 0; i < cl.limbo.size();) {
     if (cl.limbo[i].target == lp) {
-      cl.pending.push_back(cl.limbo[i]);
+      cl.pending.push(std::move(cl.limbo[i]));
       cl.limbo.erase(cl.limbo.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
       ++i;
@@ -1198,7 +1225,7 @@ RunStats Kernel::run() {
     // Drain suppressed coast-forward replays over *all* runtimes (an LP
     // installed a moment ago is already in its destination's own_lps, but
     // scanning the table directly is immune to cluster bookkeeping).
-    std::deque<Event> sink;
+    EventFifo sink;
     for (LpId lp = 0; lp < runtimes_.size(); ++lp) {
       LpRuntime& rt = runtimes_[lp];
       Cluster& owner = *clusters_[route_[lp].load(std::memory_order_relaxed)];

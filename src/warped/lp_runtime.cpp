@@ -1,6 +1,7 @@
 #include "warped/lp_runtime.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "mem/pool.hpp"
 #include "util/check.hpp"
@@ -51,8 +52,8 @@ void LpRuntime::rollback(SimTime to_time, InsertResult& res) {
   res.rolled_back = true;
   res.rollback_time = to_time;
 
-  // Discarded snapshots and cancelled outputs release their pooled words
-  // as one batched run.
+  // Discarded snapshots release their pooled words as one batched run.
+  // (Cancelled outputs hold no payload: they are SentRecords.)
   mem::ReclaimScope reclaim;
 
   // 1. Restore the latest snapshot strictly before to_time.  With periodic
@@ -98,22 +99,21 @@ void LpRuntime::rollback(SimTime to_time, InsertResult& res) {
   processed_count_ = new_processed;
 
   // 3. Aggressive cancellation: anti-messages for every output sent at or
-  // after to_time.  Outputs in (snapshot, to_time) remain valid — that is
-  // exactly why their batches replay muted.
+  // after to_time, rebuilt from the records.  Outputs in (snapshot,
+  // to_time) remain valid — that is exactly why their batches replay
+  // muted.
   auto out = std::lower_bound(
       output_queue_.begin(), output_queue_.end(), to_time,
-      [](const Event& e, SimTime time) { return e.send_time < time; });
+      [](const SentRecord& r, SimTime time) { return r.send_time < time; });
   for (auto it = out; it != output_queue_.end(); ++it) {
-    Event anti = *it;
-    anti.sign = Sign::kNegative;
-    res.antis.push_back(std::move(anti));
+    res.antis.push_back(it->anti(id_));
   }
   output_queue_.erase(out, output_queue_.end());
 
   replay_until_ = to_time;
 }
 
-LpRuntime::InsertResult LpRuntime::insert(const Event& ev) {
+LpRuntime::InsertResult LpRuntime::insert(Event ev) {
   PLS_CHECK(ev.target == id_);
   InsertResult res;
 
@@ -146,7 +146,7 @@ LpRuntime::InsertResult LpRuntime::insert(const Event& ev) {
     // Twin not here yet: the anti overtook its positive.  Impossible over
     // plain FIFO channels, but real under migration (a forwarded anti can
     // beat the twin riding inside the migration package); park it.
-    pending_antis_.push_back(ev);
+    pending_antis_.push_back(std::move(ev));
     return res;
   }
 
@@ -172,7 +172,7 @@ LpRuntime::InsertResult LpRuntime::insert(const Event& ev) {
   // the steady state of the committed path (a gate's inputs arrive in
   // time order), and it skips the lower_bound entirely.
   if (queue_.empty() || queue_.back() < ev) {
-    queue_.push_back(ev);
+    queue_.push_back(std::move(ev));
     return res;
   }
   const std::size_t at = head_ + [&] {
@@ -182,7 +182,8 @@ LpRuntime::InsertResult LpRuntime::insert(const Event& ev) {
   }();
   PLS_CHECK_MSG(at - head_ >= processed_count_,
                 "event insertion inside the processed prefix after rollback");
-  queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(at), ev);
+  queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(at),
+                std::move(ev));
   return res;
 }
 
@@ -213,21 +214,32 @@ void LpRuntime::commit_batch(SimTime batch_time, std::size_t batch_size) {
   }
 }
 
-void LpRuntime::record_output(const Event& ev) {
-  PLS_CHECK(ev.sign == Sign::kPositive);
+void LpRuntime::record_output(const Event& ev, SimTime send_time) {
+  PLS_CHECK(ev.sign == Sign::kPositive && ev.sender == id_);
   PLS_CHECK_MSG(output_queue_.empty() ||
-                    output_queue_.back().send_time <= ev.send_time,
+                    output_queue_.back().send_time <= send_time,
                 "output queue must grow in send-time order");
-  output_queue_.push_back(ev);
+  output_queue_.push_back(
+      SentRecord{send_time, ev.recv_time, ev.target,
+                 static_cast<std::uint32_t>(ev.mask_popcount()), ev.id});
 }
 
 LpRuntime::FossilResult LpRuntime::fossil_collect(SimTime gvt) {
   FossilResult res;
   if (gvt == 0) return res;
+  // Idle LP — nothing processed left to commit, no snapshot to drop, no
+  // output or waiting anti to age out: return before touching any queue.
+  // Every GVT round sweeps every LP, and most of them are idle, so this
+  // check (on the runtime object alone) saves a cold snapshot search and
+  // a reclaim scope per idle LP per round.
+  if (processed_count_ == 0 && snapshots_.size() <= 1 &&
+      output_queue_.empty() && pending_antis_.empty()) {
+    return res;
+  }
 
-  // Everything this sweep discards — retired event payloads, cancelled
-  // snapshots, committed outputs — flows back to its owner pool as one
-  // batched reclaim run.
+  // Everything this sweep discards — retired event payloads and
+  // cancelled snapshots — flows back to its owner pool as one batched
+  // reclaim run.
   mem::ReclaimScope reclaim;
 
   // The newest snapshot strictly below GVT is the restore base for every
@@ -262,12 +274,12 @@ LpRuntime::FossilResult LpRuntime::fossil_collect(SimTime gvt) {
   // are scheduling ticks, mirroring SeqStats::per_lp_sends).
   auto out = std::lower_bound(
       output_queue_.begin(), output_queue_.end(), gvt,
-      [](const Event& e, SimTime time) { return e.send_time < time; });
+      [](const SentRecord& r, SimTime time) { return r.send_time < time; });
   for (auto it = output_queue_.begin(); it != out; ++it) {
     // Transition-weighted: a batched event carries popcount lane
     // transitions per mask word; scalar events keep mask = 1 and count as
     // before.
-    if (it->target != it->sender) sends_committed_ += it->mask_popcount();
+    if (it->target != id_) sends_committed_ += it->lanes;
   }
   output_queue_.erase(output_queue_.begin(), out);
 
@@ -356,8 +368,8 @@ std::uint64_t LpRuntime::finalize() {
   }
   // Nothing can be cancelled after termination: the outputs that survived
   // the last fossil pass are committed sends too (non-self, as above).
-  for (const Event& ev : output_queue_) {
-    if (ev.target != ev.sender) sends_committed_ += ev.mask_popcount();
+  for (const SentRecord& rec : output_queue_) {
+    if (rec.target != id_) sends_committed_ += rec.lanes;
   }
   output_queue_.clear();
   queue_.erase(queue_.begin(),

@@ -25,13 +25,16 @@
 //  * a negative event annihilates its positive twin; if the twin's effects
 //    are already reflected anywhere (processed, or below the replay
 //    boundary) this forces a rollback first (secondary rollback).
+//  * output queue = one SentRecord per positive send (32 bytes: send and
+//    receive time, target, id, lane count), ascending in send time; the
+//    payload is never kept.
 //  * rollback = restore the latest snapshot strictly before the rollback
 //    time T, un-process everything after the snapshot, emit anti-messages
-//    for every output sent at or after T (aggressive cancellation), and
-//    mark [snapshot, T) for *coast-forward replay*: those batches
-//    re-execute with sends suppressed, because their original outputs were
-//    not cancelled and remain valid.
-//  * memory: wide event payloads and state words are arena-pooled
+//    (rebuilt from the records) for every output sent at or after T
+//    (aggressive cancellation), and mark [snapshot, T) for *coast-forward
+//    replay*: those batches re-execute with sends suppressed, because
+//    their original outputs were not cancelled and remain valid.
+//  * memory: wide input-event payloads and state words are arena-pooled
 //    (mem/pool.hpp); fossil sweeps, rollbacks and finalization run under
 //    a mem::ReclaimScope, so each run of discarded payloads goes back to
 //    its owner pool with a single splice.
@@ -65,9 +68,10 @@ class LpRuntime {
     std::vector<Event> antis;
   };
 
-  /// Insert a positive or negative event.  May trigger a rollback whose
-  /// side effects (anti-messages to send) are returned to the caller.
-  InsertResult insert(const Event& ev);
+  /// Insert a positive or negative event (moved into the queue).  May
+  /// trigger a rollback whose side effects (anti-messages to send) are
+  /// returned to the caller.
+  InsertResult insert(Event ev);
 
   // ---- scheduling --------------------------------------------------------
 
@@ -107,9 +111,10 @@ class LpRuntime {
   const LpState& state() const noexcept { return state_; }
   void install_initial_state(const LpState& s);
 
-  /// Record a positive output event (called by the kernel's send path
-  /// before routing, so it can be cancelled later).
-  void record_output(const Event& ev);
+  /// Record a positive output event sent by the batch at `send_time`
+  /// (called by the kernel's send path before routing, so it can be
+  /// cancelled later).  Keeps a SentRecord, not the event.
+  void record_output(const Event& ev, SimTime send_time);
 
   // ---- GVT / fossil collection -------------------------------------------
 
@@ -214,7 +219,7 @@ class LpRuntime {
   std::span<const Event> input_queue() const noexcept {
     return {queue_.data() + head_, queue_.size() - head_};
   }
-  const std::vector<Event>& output_queue() const noexcept {
+  const std::vector<SentRecord>& output_queue() const noexcept {
     return output_queue_;
   }
   const std::vector<Snapshot>& snapshots() const noexcept {
@@ -252,7 +257,7 @@ class LpRuntime {
   LpState initial_state_;
   std::vector<Snapshot> snapshots_;  ///< ascending in time
 
-  std::vector<Event> output_queue_;  ///< ascending in send_time
+  std::vector<SentRecord> output_queue_;  ///< ascending in send_time
 
   /// Anti-messages that arrived before their positive twin.  Impossible
   /// over plain FIFO channels, but *reachable* under migration: an anti

@@ -37,8 +37,11 @@ inline constexpr std::uint32_t kTickPort = ~std::uint32_t{0};
 
 enum class Sign : std::uint8_t { kPositive, kNegative };
 
-/// A Time Warp message.  A negative event (anti-message) is the exact twin
-/// of the positive event it cancels: same sender, same id.
+/// A Time Warp message.  A negative event (anti-message) carries the
+/// matching identity of the positive event it cancels — same target,
+/// receive time, sender and id — but no payload: it is rebuilt from the
+/// sender's SentRecord (below), and annihilation matches on (sender, id)
+/// at the receive time only.
 ///
 /// Batched stimulus (bit-parallel evaluation, up to 256 lanes): the
 /// payload is K words of `value` (one signal bit per lane) plus K words of
@@ -56,9 +59,12 @@ enum class Sign : std::uint8_t { kPositive, kNegative };
 /// model.  Scalar LPs use value bit 0 and the default mask = 1, so a
 /// single-bit transition still weighs one lane-transition in the
 /// committed-send accounting.
+///
+/// 64 bytes, a cache line's size: the send time is not carried (only the
+/// sender's output record needs it), so an input-queue entry, a routing
+/// FIFO slot and a transport payload each move 64 bytes.
 struct Event {
   SimTime recv_time = 0;
-  SimTime send_time = 0;
   LpId target = kInvalidLp;
   LpId sender = kInvalidLp;
   std::uint32_t port = 0;     ///< receiver input port (kTickPort = tick)
@@ -116,6 +122,32 @@ struct Event {
     return sender == other.sender && id == other.id;
   }
 };
+static_assert(sizeof(Event) == 64, "Event must stay 64 bytes");
+
+/// What a sender keeps of each positive event it sent, in its output
+/// queue: enough to cancel it (target, receive time, id — the sender is
+/// the recording LP) and to count it once committed (`lanes`, the mask
+/// popcount over all payload words).  The payload itself is never kept,
+/// so recording a wide send copies no pooled words.
+struct SentRecord {
+  SimTime send_time = 0;  ///< virtual time of the sending batch
+  SimTime recv_time = 0;
+  LpId target = kInvalidLp;
+  std::uint32_t lanes = 0;  ///< lane transitions carried (mask popcount)
+  std::uint64_t id = 0;
+
+  /// The anti-message cancelling this send, from LP `self`.
+  Event anti(LpId self) const noexcept {
+    Event a;
+    a.recv_time = recv_time;
+    a.target = target;
+    a.sender = self;
+    a.sign = Sign::kNegative;
+    a.id = id;
+    return a;
+  }
+};
+static_assert(sizeof(SentRecord) <= 32, "SentRecord must stay within 32 bytes");
 
 /// LP state: two fixed words plus an optional wide extension.  Scalar gate
 /// LPs pack input bits into `a` and the output value into `b` and leave `w`

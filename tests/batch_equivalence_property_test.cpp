@@ -220,6 +220,35 @@ TEST(BatchEquivalenceExtras, RollbackStormPreserves128WideLanes) {
                      boundary_lanes(cfg.lanes));
 }
 
+TEST(BatchEquivalenceExtras, CommittedSendLanesMatchSentMasksPerLp) {
+  // The kernel counts committed sends from its 32-byte output records
+  // (lane count = mask popcount, kept at send time); the sequential
+  // reference sums popcount over the masks it actually sends.  Under a
+  // rollback storm on a two-word payload — cancelled records must drop
+  // out, surviving ones must count every word — the two agree per LP.
+  const circuit::Circuit c = random_circuit(404);
+  framework::DriverConfig cfg = fast_config();
+  cfg.lanes = 128;
+  cfg.partitioner = "Random";
+  cfg.num_nodes = 4;
+  cfg.latency_ns = 50000;
+  cfg.throttle.mode = warped::ThrottleMode::kUnlimited;
+  cfg.end_time = 300;
+
+  const auto par = framework::run_parallel(c, cfg);
+  const auto seq = framework::run_sequential(c, cfg);
+  ASSERT_TRUE(logicsim::check_equivalence(par.run, seq).ok());
+  EXPECT_GT(par.run.totals.anti_messages_sent, 0u);
+  ASSERT_EQ(par.run.per_lp.size(), seq.per_lp_sends.size());
+  std::uint64_t total = 0;
+  for (std::size_t lp = 0; lp < seq.per_lp_sends.size(); ++lp) {
+    EXPECT_EQ(par.run.per_lp[lp].sends_committed, seq.per_lp_sends[lp])
+        << "LP " << lp;
+    total += seq.per_lp_sends[lp];
+  }
+  EXPECT_GT(total, 0u);
+}
+
 TEST(BatchEquivalenceExtras, LiveRepartitionPreservesEveryLane) {
   // Dynamic repartitioning at GVT epochs: migrated LPs carry full lane
   // words in their packages, and migration rollbacks cancel whole events.

@@ -1,0 +1,195 @@
+// Seeded mutation fuzz of the .bench reader — untrusted netlists must
+// fail with a typed error, never crash or leak another exception type.
+//
+// Each mutant is the s5378 stand-in's .bench text with a few seeded edits,
+// either byte-level (overwrite / insert / delete one byte, biased toward
+// the format's punctuation) or line-level (drop, duplicate, swap or cut a
+// line; retype a gate; rewire one fanin to another signal).  Every
+// mutant goes through parse_bench_string:
+//   * a rejection must be a circuit::BenchParseError;
+//   * an accepted mutant is a valid netlist, so a bounded sample of them
+//     must also simulate: the parallel Time Warp run commits exactly the
+//     sequential reference's results under two partitioning strategies.
+// The mutant stream is a pure function of kFuzzSeed, so a failure
+// reproduces by its mutant index.
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <exception>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "circuit/bench_io.hpp"
+#include "circuit/generator.hpp"
+#include "framework/driver.hpp"
+#include "logicsim/equivalence.hpp"
+#include "util/rng.hpp"
+
+namespace pls {
+namespace {
+
+constexpr std::uint64_t kFuzzSeed = 0x5378F022;
+constexpr int kMutants = 600;
+constexpr int kMaxSimulated = 4;  ///< accepted mutants run end to end
+
+const std::string& s5378_text() {
+  static const std::string text =
+      circuit::write_bench_string(circuit::make_iscas_like("s5378"));
+  return text;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& l : lines) {
+    out += l;
+    out += '\n';
+  }
+  return out;
+}
+
+/// A byte that is likely to matter to the grammar, or any byte at all.
+char fuzz_byte(util::Rng& rng) {
+  static constexpr char kInteresting[] = "()=,# \t\r\nGANDORXTBUFINPS0123456789";
+  if (rng.chance(0.25)) return static_cast<char>(rng.below(256));
+  return kInteresting[rng.below(sizeof(kInteresting) - 1)];
+}
+
+void mutate_bytes(std::string& text, util::Rng& rng) {
+  if (text.empty()) {
+    text.push_back(fuzz_byte(rng));
+    return;
+  }
+  const std::size_t at = rng.below(text.size());
+  switch (rng.below(3)) {
+    case 0: text[at] = fuzz_byte(rng); break;
+    case 1: text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                        fuzz_byte(rng)); break;
+    default: text.erase(at, 1); break;
+  }
+}
+
+/// The gate definitions' line indices ("name = TYPE(...)").
+std::vector<std::size_t> gate_lines(const std::vector<std::string>& lines) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find('=') != std::string::npos) out.push_back(i);
+  }
+  return out;
+}
+
+void mutate_lines(std::vector<std::string>& lines, util::Rng& rng) {
+  if (lines.empty()) return;
+  const std::size_t at = rng.below(lines.size());
+  const std::vector<std::size_t> gates = gate_lines(lines);
+  switch (rng.below(6)) {
+    case 0:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      break;
+    case 1:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                   lines[rng.below(lines.size())]);
+      break;
+    case 2:
+      std::swap(lines[at], lines[rng.below(lines.size())]);
+      break;
+    case 3:
+      lines[at].resize(rng.below(lines[at].size() + 1));
+      break;
+    case 4: {  // retype a gate
+      if (gates.empty()) break;
+      static const char* const kTypes[] = {"AND", "NAND", "OR", "NOR", "XOR",
+                                           "XNOR", "NOT", "BUF", "DFF"};
+      std::string& g = lines[gates[rng.below(gates.size())]];
+      const std::size_t eq = g.find('=');
+      const std::size_t lp = g.find('(');
+      if (lp == std::string::npos || lp < eq) break;
+      g = g.substr(0, eq + 1) + " " + kTypes[rng.below(9)] + g.substr(lp);
+      break;
+    }
+    default: {  // rewire a fanin to another gate's output
+      if (gates.size() < 2) break;
+      std::string& g = lines[gates[rng.below(gates.size())]];
+      const std::string& src = lines[gates[rng.below(gates.size())]];
+      const std::string donor = src.substr(0, src.find(' '));
+      const std::size_t lp = g.find('(');
+      const std::size_t end = g.find_first_of(",)", lp);
+      if (lp == std::string::npos || end == std::string::npos) break;
+      g = g.substr(0, lp + 1) + donor + g.substr(end);
+      break;
+    }
+  }
+}
+
+std::string make_mutant(const std::string& base, util::Rng& rng) {
+  const int edits = 1 + static_cast<int>(rng.below(3));
+  if (rng.chance(0.5)) {
+    std::string text = base;
+    for (int e = 0; e < edits; ++e) mutate_bytes(text, rng);
+    return text;
+  }
+  std::vector<std::string> lines = split_lines(base);
+  for (int e = 0; e < edits; ++e) mutate_lines(lines, rng);
+  return join_lines(lines);
+}
+
+framework::DriverConfig sim_config(const char* partitioner) {
+  framework::DriverConfig cfg;
+  cfg.partitioner = partitioner;
+  cfg.num_nodes = 2;
+  cfg.end_time = 300;
+  cfg.event_cost_ns = 0;
+  cfg.send_overhead_ns = 0;
+  cfg.latency_ns = 1000;
+  cfg.gvt_interval_us = 500;
+  return cfg;
+}
+
+TEST(BenchFuzz, MutantsAreRejectedWithTypedErrorsOrSimulateEquivalently) {
+  const std::string& base = s5378_text();
+  util::Rng rng(kFuzzSeed);
+  int rejected = 0;
+  int accepted = 0;
+  int simulated = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    const std::string text = make_mutant(base, rng);
+    circuit::Circuit c;
+    try {
+      c = circuit::parse_bench_string(text, "mutant");
+    } catch (const circuit::BenchParseError&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << m << " rejected with an untyped error: "
+                    << e.what();
+      continue;
+    }
+    ++accepted;
+    if (text == base || simulated >= kMaxSimulated) continue;
+    ++simulated;
+    for (const char* strategy : {"Multilevel", "Random"}) {
+      const framework::DriverConfig cfg = sim_config(strategy);
+      const auto par = framework::run_parallel(c, cfg);
+      const auto seq = framework::run_sequential(c, cfg);
+      const auto rep = logicsim::check_equivalence(par.run, seq);
+      EXPECT_TRUE(rep.ok()) << "mutant " << m << " under " << strategy
+                            << ": " << rep.describe();
+    }
+  }
+  std::printf("%d mutants: %d rejected, %d accepted, %d simulated\n",
+              kMutants, rejected, accepted, simulated);
+  // The stream must exercise both outcomes, or the test proves nothing.
+  EXPECT_GT(rejected, kMutants / 4);
+  EXPECT_EQ(simulated, kMaxSimulated) << accepted << " mutants accepted";
+}
+
+}  // namespace
+}  // namespace pls

@@ -1,7 +1,9 @@
 // Deterministic unit tests for the Time Warp rollback protocol in
 // LpRuntime: queue discipline, batching, straggler rollback, anti-message
 // annihilation, secondary rollback, output cancellation, coast-forward
-// replay under periodic state saving, fossil collection and finalize.
+// replay under periodic state saving, fossil collection and finalize, and
+// the 32-byte sent-event records the output queue keeps (payload-free
+// antis rebuilt from them, committed-send lane accounting).
 
 #include <gtest/gtest.h>
 
@@ -19,10 +21,9 @@ class NullLp final : public LogicalProcess {
 };
 
 Event ev(SimTime recv, LpId target, LpId sender, std::uint64_t id,
-         SimTime send = 0, std::uint32_t port = 0) {
+         std::uint32_t port = 0) {
   Event e;
   e.recv_time = recv;
-  e.send_time = send;
   e.target = target;
   e.sender = sender;
   e.port = port;
@@ -134,10 +135,10 @@ TEST(LpRuntime, RollbackCancelsOutputsAtOrAfterBoundary) {
   rt.insert(ev(5, 0, 1, 1));
   rt.insert(ev(10, 0, 1, 2));
   process_next(rt);
-  rt.record_output(ev(6, 9, 0, 100, /*send=*/5));  // sent while at t=5
+  rt.record_output(ev(6, 9, 0, 100), /*send=*/5);  // sent while at t=5
   process_next(rt);
-  rt.record_output(ev(11, 9, 0, 101, /*send=*/10));  // sent while at t=10
-  rt.record_output(ev(12, 8, 0, 102, /*send=*/10));
+  rt.record_output(ev(11, 9, 0, 101), /*send=*/10);  // sent while at t=10
+  rt.record_output(ev(12, 8, 0, 102), /*send=*/10);
 
   const auto res = rt.insert(ev(7, 0, 2, 3));
   ASSERT_TRUE(res.rolled_back);
@@ -217,8 +218,8 @@ TEST(LpRuntime, FossilCollectCommitsAndPrunes) {
     rt.insert(ev(i * 10, 0, 1, i));
   }
   for (int i = 0; i < 5; ++i) process_next(rt);
-  rt.record_output(ev(21, 9, 0, 100, /*send=*/20));
-  rt.record_output(ev(41, 9, 0, 101, /*send=*/40));
+  rt.record_output(ev(21, 9, 0, 100), /*send=*/20);
+  rt.record_output(ev(41, 9, 0, 101), /*send=*/40);
 
   const auto res = rt.fossil_collect(35);
   // Snapshot base = t=30 (newest < 35); events <= 30 commit.
@@ -275,8 +276,8 @@ TEST(LpRuntime, ReplayWindowAfterRollbackWithPeriodicSaving) {
   LpRuntime rt(0, &lp, /*state_period=*/3);
   for (std::uint64_t i = 1; i <= 4; ++i) rt.insert(ev(i * 10, 0, 1, i));
   for (int i = 0; i < 4; ++i) process_next(rt);  // snapshot only at t=30
-  rt.record_output(ev(15, 9, 0, 100, /*send=*/10));
-  rt.record_output(ev(45, 9, 0, 101, /*send=*/40));
+  rt.record_output(ev(15, 9, 0, 100), /*send=*/10);
+  rt.record_output(ev(45, 9, 0, 101), /*send=*/40);
 
   // Straggler at t=35: restore snapshot t=30, cancel only outputs >= 35.
   const auto res = rt.insert(ev(35, 0, 2, 9));
@@ -305,7 +306,7 @@ TEST(LpRuntime, PositiveArrivingInsideReplayWindowForcesRollback) {
   LpRuntime rt(0, &lp, /*state_period=*/4);
   for (std::uint64_t i = 1; i <= 4; ++i) rt.insert(ev(i * 10, 0, 1, i));
   for (int i = 0; i < 4; ++i) process_next(rt);  // snapshot at t=40 only
-  rt.record_output(ev(26, 9, 0, 100, /*send=*/25));  // would be stale
+  rt.record_output(ev(26, 9, 0, 100), /*send=*/25);  // would be stale
 
   // Hmm: outputs at send=25 require a processed batch at 25; adjust by
   // rolling back to 35 first to open a replay window (30, 35).
@@ -340,6 +341,115 @@ TEST(LpRuntime, ProcessedCountsTrackReexecution) {
   process_next(rt);           // t=5 re-executed
   EXPECT_EQ(rt.events_processed(), 3u);  // 1 + 2 after replaying
   EXPECT_EQ(rt.events_rolled_back(), 1u);
+}
+
+// ---- sent-event records ----------------------------------------------------
+
+/// A 128-lane event: two payload words, lanes flagged in both mask words.
+Event wide_ev(SimTime recv, LpId target, LpId sender, std::uint64_t id) {
+  Event e = ev(recv, target, sender, id);
+  e.widen(2);
+  e.set_value_word(0, 0xF0);
+  e.set_mask_word(0, 0xFF);
+  e.set_value_word(1, 0x1);
+  e.set_mask_word(1, 0x3);
+  return e;
+}
+
+TEST(LpRuntime, OutputQueueKeepsRecordsNotPayloads) {
+  NullLp lp;
+  LpRuntime rt(4, &lp);
+  rt.insert(ev(5, 4, 1, 1));
+  process_next(rt);
+  rt.record_output(wide_ev(8, 9, 4, 100), /*send=*/5);
+  ASSERT_EQ(rt.output_queue().size(), 1u);
+  const SentRecord& rec = rt.output_queue()[0];
+  EXPECT_EQ(rec.send_time, 5u);
+  EXPECT_EQ(rec.recv_time, 8u);
+  EXPECT_EQ(rec.target, 9u);
+  EXPECT_EQ(rec.id, 100u);
+  EXPECT_EQ(rec.lanes, 10u);  // popcount(0xFF) + popcount(0x3)
+  // Only the recording LP's own sends can be recorded.
+  EXPECT_THROW(rt.record_output(ev(9, 9, 2, 101), 5), util::CheckError);
+}
+
+TEST(LpRuntime, AntiFromRecordCarriesCancelledIdentity) {
+  NullLp lp;
+  LpRuntime rt(4, &lp);
+  rt.insert(ev(5, 4, 1, 1));
+  rt.insert(ev(10, 4, 1, 2));
+  process_next(rt);
+  process_next(rt);
+  const Event sent = wide_ev(17, 9, 4, 100);
+  rt.record_output(sent, /*send=*/10);
+
+  const auto res = rt.insert(ev(7, 4, 2, 3));  // straggler cancels t=10
+  ASSERT_TRUE(res.rolled_back);
+  ASSERT_EQ(res.antis.size(), 1u);
+  const Event& anti = res.antis[0];
+  EXPECT_EQ(anti.sign, Sign::kNegative);
+  EXPECT_EQ(anti.target, sent.target);
+  EXPECT_EQ(anti.recv_time, sent.recv_time);
+  EXPECT_EQ(anti.sender, sent.sender);
+  EXPECT_EQ(anti.id, sent.id);
+  EXPECT_TRUE(anti.matches(sent));
+  EXPECT_EQ(anti.payload_words(), 1u);  // rebuilt without the payload
+}
+
+TEST(LpRuntime, PayloadFreeAntiAnnihilatesWideTwin) {
+  NullLp lp;
+  LpRuntime sender(1, &lp);
+  LpRuntime receiver(0, &lp);
+  sender.insert(ev(5, 1, 2, 1));
+  process_next(sender);
+  const Event pending = wide_ev(10, 0, 1, 50);
+  const Event processed = wide_ev(6, 0, 1, 51);
+  sender.record_output(processed, /*send=*/5);
+  sender.record_output(pending, /*send=*/5);
+  receiver.insert(processed);
+  receiver.insert(pending);
+  process_next(receiver);  // executes the t=6 twin
+
+  const auto rb = sender.insert(ev(3, 1, 2, 2));
+  ASSERT_EQ(rb.antis.size(), 2u);
+  // Pending twin: silent annihilation.
+  const auto r1 = receiver.insert(rb.antis[1]);
+  EXPECT_FALSE(r1.rolled_back);
+  ASSERT_EQ(receiver.input_queue().size(), 1u);
+  EXPECT_EQ(receiver.input_queue()[0].id, 51u);
+  // Processed twin: secondary rollback, then annihilation.
+  const auto r2 = receiver.insert(rb.antis[0]);
+  EXPECT_TRUE(r2.rolled_back);
+  EXPECT_TRUE(r2.secondary);
+  EXPECT_TRUE(receiver.input_queue().empty());
+}
+
+TEST(LpRuntime, CommittedSendLanesEqualSentMaskPopcounts) {
+  NullLp lp;
+  LpRuntime rt(0, &lp);
+  for (std::uint64_t i = 1; i <= 4; ++i) rt.insert(ev(i * 10, 0, 1, i));
+  for (int i = 0; i < 4; ++i) process_next(rt);
+  std::vector<Event> sent;
+  sent.push_back(ev(15, 9, 0, 100));  // scalar: mask = 1
+  Event multi = ev(25, 8, 0, 101);
+  multi.mask = 0xF00F;
+  sent.push_back(multi);
+  sent.push_back(wide_ev(35, 9, 0, 102));
+  Event tick = ev(45, 0, 0, 103);  // self-send: a tick, never counted
+  tick.mask = 0xFF;
+  sent.push_back(tick);
+  sent.push_back(wide_ev(45, 7, 0, 104));
+  std::uint64_t expected = 0;
+  for (const Event& e : sent) {
+    rt.record_output(e, e.recv_time - 5);
+    if (e.target != rt.id()) expected += e.mask_popcount();
+  }
+  rt.fossil_collect(25);  // commits the sends at 10 and 20
+  EXPECT_EQ(rt.sends_committed(), 1u + 8u);
+  rt.fossil_collect(kEndOfTime);
+  rt.finalize();  // the rest commit at termination
+  EXPECT_EQ(rt.sends_committed(), expected);
+  EXPECT_TRUE(rt.output_queue().empty());
 }
 
 TEST(LpRuntime, InsertForWrongTargetRejected) {
