@@ -80,9 +80,9 @@ struct BenchConfig {
   warped::SimTime stim_period = 50;
   warped::SimTime clock_period = 10;
 
-  /// Bit-parallel stimulus lanes (--lanes, 1-64): 1 runs the classic
-  /// scalar engine; N > 1 runs N Monte Carlo scenarios per event through
-  /// the batched word-wise engine (DriverConfig::lanes).  Throughput
+  /// Bit-parallel stimulus lanes (--lanes, 1-64): 1 runs one scenario;
+  /// N > 1 runs N Monte Carlo scenarios per event through the same
+  /// word-wise LPs (DriverConfig::lanes).  Throughput
   /// columns then report events/sec alongside committed lane
   /// transitions/sec, the work metric that scales with N.
   std::uint32_t lanes = 1;

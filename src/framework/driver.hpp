@@ -32,13 +32,12 @@ struct DriverConfig {
   warped::SimTime end_time = 2000;    ///< virtual-time horizon
 
   /// Bit-parallel stimulus lanes in [1, 256] (authoritative; copied over
-  /// model.lanes).  1 = classic scalar run; counts above 64 span multiple
-  /// value words per signal (logicsim::lane_words), carried through the
-  /// arena-pooled event/state extensions — N <= 64 stays bit-identical to
-  /// the single-word engine.  Lane j of a batched run is bit-identical to
-  /// a scalar run with seed lane_seed(seed, j) — see logicsim/lanes.hpp;
-  /// fault-simulation runs set model.faults and model.uniform_stimulus on
-  /// top.
+  /// model.lanes).  1 = one stimulus scenario, with gate fanins packed into
+  /// one state word; counts above 64 span multiple value words per signal
+  /// (logicsim::lane_words), carried through the arena-pooled event/state
+  /// extensions.  Lane j of a run is bit-identical to a 1-lane run with
+  /// seed lane_seed(seed, j) — see logicsim/lanes.hpp; fault-simulation
+  /// runs set model.faults and model.uniform_stimulus on top.
   std::uint32_t lanes = 1;
 
   logicsim::ModelOptions model;
@@ -186,14 +185,14 @@ struct DriverResult {
   /// DriverResult copyable; hand it to the obs:: exporters.
   std::shared_ptr<obs::ObsSession> obs;
 
-  /// Stimulus lanes the run was batched over (DriverConfig::lanes).
+  /// Stimulus lanes of the run (DriverConfig::lanes).
   std::uint32_t lanes = 1;
 
   warped::RunStats run;
 
   /// Per-lane result extraction: the committed final states of one lane,
   /// projected onto the scalar state layout (logicsim::extract_lane_states
-  /// over run.final_states).  Requires a batched run (lanes >= 2) of `c`.
+  /// over run.final_states), at any lane count.  Requires a run of `c`.
   std::vector<warped::LpState> lane_states(const circuit::Circuit& c,
                                            unsigned lane) const {
     return logicsim::extract_lane_states(c, run.final_states, lane, lanes);

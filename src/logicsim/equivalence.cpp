@@ -27,16 +27,18 @@ EquivalenceReport check_equivalence(const warped::RunStats& parallel,
 
 EquivalenceReport check_lane_equivalence(
     const circuit::Circuit& c,
-    const std::vector<warped::LpState>& batched_finals, unsigned lane,
+    const std::vector<warped::LpState>& lane_finals, unsigned lane,
     unsigned lanes, const std::vector<warped::LpState>& scalar_finals) {
   EquivalenceReport rep;
   rep.counts_equal = true;  // counts intentionally differ across widths
   const std::vector<warped::LpState> projected =
-      extract_lane_states(c, batched_finals, lane, lanes);
-  rep.states_equal = projected.size() == scalar_finals.size();
+      extract_lane_states(c, lane_finals, lane, lanes);
+  const std::vector<warped::LpState> reference =
+      extract_lane_states(c, scalar_finals, 0, 1);
+  rep.states_equal = projected.size() == reference.size();
   if (rep.states_equal) {
     for (std::size_t i = 0; i < projected.size(); ++i) {
-      if (!(projected[i] == scalar_finals[i])) {
+      if (!(projected[i] == reference[i])) {
         rep.states_equal = false;
         rep.first_mismatch_lp = i;
         break;

@@ -32,16 +32,18 @@ struct EquivalenceReport {
 EquivalenceReport check_equivalence(const warped::RunStats& parallel,
                                     const SeqStats& sequential);
 
-/// Lane-equivalence (the batched-engine contract, lanes.hpp): lane `lane`
-/// of a `lanes`-wide batched run's final states, projected onto the scalar
-/// layout, must equal the final states of an independent scalar run — one
-/// whose seed is lane_seed(base, lane).  Event counts are *not* compared
-/// (a batched run coalesces up to kMaxLanes scalar events into one);
-/// counts_equal is reported true so ok() reduces to the per-lane state
-/// check.
+/// Lane-equivalence (the contract of lanes.hpp): lane `lane` of a
+/// `lanes`-wide run's final states, projected onto the scalar layout, must
+/// equal the final states of an independent scalar run — one whose seed is
+/// lane_seed(base, lane).  `scalar_finals` may be in the scalar layout or
+/// come from a 1-lane run of the production model: both sides pass through
+/// extract_lane_states, whose 1-lane projection leaves the scalar layout
+/// unchanged.  Event counts are *not* compared (a wide run coalesces up to
+/// kMaxLanes scalar events into one); counts_equal is reported true so
+/// ok() reduces to the per-lane state check.
 EquivalenceReport check_lane_equivalence(
     const circuit::Circuit& c,
-    const std::vector<warped::LpState>& batched_finals, unsigned lane,
+    const std::vector<warped::LpState>& lane_finals, unsigned lane,
     unsigned lanes, const std::vector<warped::LpState>& scalar_finals);
 
 }  // namespace pls::logicsim

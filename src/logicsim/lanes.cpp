@@ -27,16 +27,19 @@ std::vector<StuckAtFault> sample_faults(const circuit::Circuit& c,
   return out;
 }
 
-// The batched state layouts (netlist_lps.hpp), K = lane_words(lanes):
-//   BatchGateLp  w[wd*arity + p] = fanin p, word wd;  b = out word 0,
-//                w[arity*K + wd-1] = out words 1..K-1;  a = divergence
-//                word 0, w[arity*K + K-1 + wd-1] = words 1..K-1 (observe).
-//   BatchDffLp   a/b = D/Q word 0; w[0..K) = armed; w[K + wd-1] = D words
-//                1..K-1; w[2K-1 + wd-1] = Q words 1..K-1;
-//                w[3K-2 + wd] = divergence words 0..K-1 (observe).
-//   BatchInputLp b = stimulus word 0; w[wd-1] = words 1..K-1; a =
-//                divergence word 0, w[K-1 + wd-1] = words 1..K-1 (observe).
-// K = 1 collapses every extension to the legacy single-word layout.
+// The state layouts (netlist_lps.hpp), K = lane_words(lanes):
+//   GateLp   lanes == 1: a = packed fanin bits, b = output bit.
+//            lanes >= 2: w[wd*arity + p] = fanin p, word wd;  b = out word
+//            0, w[arity*K + wd-1] = out words 1..K-1;  a = divergence word
+//            0, w[arity*K + K-1 + wd-1] = words 1..K-1 (observe).
+//   DffLp    a/b = D/Q word 0; w[0..K) = armed; w[K + wd-1] = D words
+//            1..K-1; w[2K-1 + wd-1] = Q words 1..K-1;
+//            w[3K-2 + wd] = divergence words 0..K-1 (observe).
+//   InputLp  b = stimulus word 0; w[wd-1] = words 1..K-1; a =
+//            divergence word 0, w[K-1 + wd-1] = words 1..K-1 (observe).
+// The scalar layout a projection produces is the 1-lane one with the
+// DFF's armed word dropped: gate a = fanin bits, b = output; DFF a = D,
+// b = Q; input b = stimulus; w empty.
 
 namespace {
 
@@ -64,20 +67,25 @@ std::vector<LpState> extract_lane_states(const circuit::Circuit& c,
     LpState& s = out[g];
     switch (c.type(g)) {
       case circuit::GateType::kInput:
-        // Scalar InputLp: b bit 0 = current stimulus value, a unused.
         s.b = state_bit(w.b, w.w, 0, wd, bit) ? 1 : 0;
         break;
       case circuit::GateType::kDff:
-        // Scalar DffLp: a = latched D, b = Q.
         s.a = state_bit(w.a, w.w, K, wd, bit) ? 1 : 0;
         s.b = state_bit(w.b, w.w, 2 * K - 1, wd, bit) ? 1 : 0;
         break;
       default: {
-        // Scalar GateLp packs fanin bits into a (bit p = input p); the
-        // batched gate keeps one lane word per (fanin, word), word-major.
         const auto arity = c.fanins(g).size();
+        if (lanes == 1) {
+          PLS_CHECK_MSG(w.w.empty(),
+                        "gate " << g << " state is not a 1-lane state");
+          s.a = w.a;
+          s.b = w.b & 1;
+          break;
+        }
+        // Gather bit `lane` of each fanin word into the packed layout.
         PLS_CHECK_MSG(w.w.size() >= arity * K,
-                      "gate " << g << " state is not batched (lanes < 2?)");
+                      "gate " << g << " state is not a " << lanes
+                              << "-lane state");
         for (std::size_t p = 0; p < arity; ++p) {
           s.a |= ((w.w[wd * arity + p] >> bit) & 1) << p;
         }

@@ -1,29 +1,29 @@
 #pragma once
-// Batched-stimulus lane utilities: seeds, masks, per-lane state extraction
-// and stuck-at fault bookkeeping for the bit-parallel engine.
+// Stimulus-lane utilities: seeds, masks, per-lane state extraction and
+// stuck-at fault bookkeeping for the bit-parallel LPs.
 //
-// A batched run packs up to kMaxLanes independent stimulus scenarios into
-// the bit lanes of each net's value words (see gate_eval.hpp
-// eval_gate_word and the Batch* LPs in netlist_lps.hpp).  Lane counts up
-// to 64 fit one `uint64_t` per signal; wider runs carry
+// A run packs ModelOptions::lanes (1..kMaxLanes) independent stimulus
+// scenarios into the bit lanes of each net's value words (see
+// gate_eval.hpp eval_gate_word and the LPs in netlist_lps.hpp).  Lane
+// counts up to 64 fit one `uint64_t` per signal; wider runs carry
 // K = lane_words(lanes) words per signal, with lane j living in bit
-// j % 64 of word j / 64.  Word 0 stays in the legacy Event/LpState slots,
-// words 1..K-1 ride in the arena-pooled extensions (mem/words.hpp), so
-// N <= 64 runs are bit-identical to the single-word engine.
+// j % 64 of word j / 64.  Word 0 stays in the fixed Event/LpState slots,
+// words 1..K-1 ride in the arena-pooled extensions (mem/words.hpp).
 //
 // The correctness contract is the *lane-equivalence* property this module
 // makes checkable:
 //
-//   lane j of a batched run with base seed S is bit-identical to an
-//   independent scalar (lanes = 1) run with seed lane_seed(S, j),
-//   and lane_seed(S, 0) == S.
+//   lane j of a run with base seed S is bit-identical to a 1-lane run with
+//   seed lane_seed(S, j), and lane_seed(S, 0) == S.
 //
-// extract_lane_states() projects a batched run's final LP states onto the
-// scalar state layout for one lane, so the existing state-vector compare
-// closes the loop against a real scalar run — on either backend, under
-// rollback storms and live migration alike (the kernel never interprets
-// the payload, so nothing lane-specific exists to get wrong there; the
-// test exists to prove that).
+// extract_lane_states() projects a run's final LP states onto the scalar
+// state layout for one lane, at every lane count (1 included), so a
+// state-vector compare closes the loop against an independent scalar
+// simulator: tests/scalar_reference.hpp keeps one, written apart from the
+// production LPs, and tests/batch_equivalence_property_test.cpp checks
+// every lane against it on either backend, under rollback storms and live
+// migration alike (the kernel never interprets the payload, so nothing
+// lane-specific exists to get wrong there; the test exists to prove that).
 //
 // Stuck-at fault simulation (the classic bit-parallel application): lane 0
 // is the fault-free reference and lanes 1..k each carry one StuckAtFault.
@@ -62,9 +62,9 @@ constexpr std::uint64_t lane_mask(unsigned lanes) noexcept {
   return lane_mask_word(lanes, 0);
 }
 
-/// Stimulus seed lane j of a batched run draws its vectors from.  Lane 0
-/// reproduces the base seed exactly, so a 1-lane batched run is the scalar
-/// run; other lanes decorrelate through an odd multiplicative constant
+/// Stimulus seed lane j of a run draws its vectors from.  Lane 0
+/// reproduces the base seed exactly, so lane 0 of any run replays the
+/// 1-lane run; other lanes decorrelate through an odd multiplicative constant
 /// (every lane keeps a distinct seed for any base).
 constexpr std::uint64_t lane_seed(std::uint64_t base, unsigned lane) noexcept {
   return base ^ (std::uint64_t{lane} * 0xd1b54a32d192ed03ULL);
@@ -88,13 +88,15 @@ std::vector<StuckAtFault> sample_faults(const circuit::Circuit& c,
                                         std::size_t count,
                                         std::uint64_t seed);
 
-/// Project the final LP states of a batched run onto the scalar state
-/// layout for one lane: the result compares equal (operator==) to the
-/// final_states of an independent scalar run of the same circuit with
-/// seed lane_seed(base, lane).  `wide` must come from a model built for
-/// this circuit with `lanes` stimulus lanes (lanes >= 2 for the batched
-/// state layouts); fault-detection accumulators are excluded from the
-/// projection (they have no scalar counterpart).
+/// Project the final LP states of a `lanes`-wide run onto the scalar state
+/// layout for one lane (gate: a = fanin bits, b = output; DFF: a = D,
+/// b = Q; input: b = stimulus; w empty): the result compares equal
+/// (operator==) to the final states of an independent scalar simulation of
+/// the same circuit with seed lane_seed(base, lane).  `wide` must come
+/// from a model built for this circuit with `lanes` stimulus lanes; at
+/// lanes = 1 the projection is the identity on gate and input states and
+/// drops the DFF's armed word.  Fault-detection accumulators are excluded
+/// (they have no scalar counterpart).
 std::vector<warped::LpState> extract_lane_states(
     const circuit::Circuit& c, const std::vector<warped::LpState>& wide,
     unsigned lane, unsigned lanes);

@@ -3,13 +3,14 @@
 //
 // Every gate of the circuit becomes exactly one Time Warp LP whose id
 // equals its GateId, so a Partition maps 1:1 onto the kernel's LP→node
-// map.  Three behaviours exist:
+// map.  Three behaviours exist, one per gate kind, each carrying
+// ModelOptions::lanes bit-parallel stimulus lanes (1 = a single scenario):
 //
-//   * GateLp   — combinational gates: input events update packed input
-//     bits; when the evaluated output changes, a transition is sent to
-//     every fanout port after the gate delay.
-//   * DffLp    — D flip-flops, self-clocked with a configurable period
-//     (DESIGN.md §3.4): each tick samples D and emits Q on change.
+//   * GateLp   — combinational gates: input events update the fanin
+//     values; when the evaluated output changes in any lane, a transition
+//     is sent to every fanout port after the gate delay.
+//   * DffLp    — D flip-flops, self-clocked with a configurable period:
+//     each armed clock edge samples D and emits Q on change.
 //   * InputLp  — primary inputs: self-scheduled stimulus that applies a
 //     new random vector every `stim_period`.  Vector values are a
 //     counter-based hash of (seed, input, vector index), which makes the
@@ -46,15 +47,13 @@ struct ModelOptions {
   /// history-independent (rollback- and node-count-invariant).  0 = off.
   warped::SimTime stim_drift_at = 0;
 
-  /// Batched stimulus: number of bit-parallel lanes in [1, kMaxLanes].
-  /// 1 keeps the classic scalar behaviours (bit-identical to before the
-  /// batched engine existed); >= 2 elaborates the Batch* behaviours, where
-  /// every net carries one value bit per lane and lane j replays the
-  /// scalar run with seed lane_seed(stim_seed, j) — see lanes.hpp for the
-  /// contract.  Counts above 64 span lane_words(lanes) value words per
-  /// signal; word 0 stays in the legacy Event/LpState slots and the tail
-  /// words ride the arena-pooled extensions, so N <= 64 runs are
-  /// bit-identical to the single-word engine.
+  /// Bit-parallel stimulus lanes in [1, kMaxLanes]: every net carries one
+  /// value bit per lane, and lane j replays the 1-lane run with seed
+  /// lane_seed(stim_seed, j) — see lanes.hpp for the contract.  Counts
+  /// above 64 span lane_words(lanes) value words per signal; word 0 stays
+  /// in the fixed Event/LpState slots and the tail words ride the
+  /// arena-pooled extensions.  The lane count also picks the gate state
+  /// layout (packed fanin bits at one lane; see GateLp).
   std::uint32_t lanes = 1;
 
   /// Fault simulation (lanes >= 2 only): fault i is injected on lane
@@ -75,6 +74,10 @@ struct FanoutPort {
   std::uint32_t port;
 };
 
+/// An LP's stuck-at injection words — K mask words then K value words,
+/// masked to the active lanes — or null when the LP carries no fault.
+using StuckAtWords = std::unique_ptr<std::uint64_t[]>;
+
 /// The elaborated simulation model: one behaviour per gate, index = GateId.
 struct SimModel {
   std::vector<std::unique_ptr<warped::LogicalProcess>> lps;
@@ -93,37 +96,75 @@ struct SimModel {
 SimModel build_model(const circuit::Circuit& c, const ModelOptions& opt = {});
 
 // ---- concrete behaviours (exposed for unit tests) -------------------------
+//
+// One class per gate kind, each evaluated over whole lane words: state
+// keeps K = lane_words(lanes) value words per signal, events carry K value
+// words plus K change-mask words, and an event fires only when at least
+// one lane changed.  Unchanged lanes are never perturbed (masked
+// application), so lane j's committed trajectory is exactly the scalar
+// run's — the lane-equivalence contract lanes.hpp documents and
+// tests/batch_equivalence_property_test.cpp enforces against the scalar
+// reference in tests/scalar_reference.hpp.  Word 0 of every signal lives
+// in the fixed LpState slots a/b; words 1..K-1 extend into LpState::w.  A
+// 1-lane gate packs its fanin bits into `a`, so 1-lane states need no
+// pooled words at all (layouts below).
+//
+// All three support stuck-at injection at their output (sa_mask / sa_value
+// lane words, one entry per value word; kept only on LPs that carry a
+// fault) and, on observing gates (primary outputs in fault mode, lanes >=
+// 2), a monotone divergence accumulator against fault-free lane 0.
 
 class GateLp final : public warped::LogicalProcess {
  public:
+  /// State layout, lanes == 1: bit p of a = fanin p, b = output (bit 0).
+  /// lanes >= 2 (K = lane_words(lanes)): w[wd*arity + p] = word wd of
+  /// fanin p (word-major, so eval_gate_word reads one contiguous run per
+  /// word); b = output word 0, w[arity*K + wd-1] = output words 1..K-1;
+  /// a = divergence word 0, w[arity*K + K-1 + wd-1] = divergence words
+  /// 1..K-1 (observing gates only).
   GateLp(circuit::GateType type, std::uint32_t arity,
-         std::vector<FanoutPort> fanouts, warped::SimTime delay);
+         std::vector<FanoutPort> fanouts, warped::SimTime delay,
+         std::uint32_t lanes, std::vector<std::uint64_t> sa_mask = {},
+         std::vector<std::uint64_t> sa_value = {}, bool observe = false);
 
-  warped::LpState initial_state() const override { return {}; }
+  warped::LpState initial_state() const override;
   void init(warped::Context& ctx) override;
   void execute(warped::Context& ctx, warped::EventBatch batch) override;
 
-  /// Current output value encoded in a state (bit 0 of word b).
+  /// Lane 0 of the output value encoded in a state.
   static bool output_of(const warped::LpState& s) noexcept {
     return (s.b & 1) != 0;
   }
 
  private:
   circuit::GateType type_;
+  bool observe_;
+  std::uint16_t lanes_;
   std::uint32_t arity_;
-  std::vector<FanoutPort> fanouts_;
   warped::SimTime delay_;
+  std::vector<FanoutPort> fanouts_;
+  StuckAtWords sa_;
 };
 
 class DffLp final : public warped::LogicalProcess {
  public:
+  /// Self-clocked with clock suppression: a sampling tick
+  /// exists only at the first edge (phase) and at edges armed by a D
+  /// change, tracked per lane.  State layout (K = lane_words(lanes)):
+  /// a = latched D word 0, b = Q word 0; w[0..K) = lanes armed for the next
+  /// sampling edge; w[K + wd-1] = D words 1..K-1; w[2K-1 + wd-1] = Q words
+  /// 1..K-1; w[3K-2 + wd] = divergence words 0..K-1 (observing DFFs only).
+  /// At one lane w is the single armed word, held inline (no pooling).
   DffLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-        warped::SimTime phase, warped::SimTime delay);
+        warped::SimTime phase, warped::SimTime delay, std::uint32_t lanes,
+        std::vector<std::uint64_t> sa_mask = {},
+        std::vector<std::uint64_t> sa_value = {}, bool observe = false);
 
-  warped::LpState initial_state() const override { return {}; }
+  warped::LpState initial_state() const override;
   void init(warped::Context& ctx) override;
   void execute(warped::Context& ctx, warped::EventBatch batch) override;
 
+  /// Lane 0 of Q encoded in a state.
   static bool q_of(const warped::LpState& s) noexcept {
     return (s.b & 1) != 0;
   }
@@ -132,168 +173,66 @@ class DffLp final : public warped::LogicalProcess {
   warped::SimTime next_edge_at_or_after(warped::SimTime t) const;
 
  private:
-  std::vector<FanoutPort> fanouts_;
+  bool observe_;
+  std::uint16_t lanes_;
   warped::SimTime period_;
   warped::SimTime phase_;
   warped::SimTime delay_;
+  std::vector<FanoutPort> fanouts_;
+  StuckAtWords sa_;
 };
 
 class InputLp final : public warped::LogicalProcess {
  public:
-  /// `drift_at` / `hot_first` implement ModelOptions::stim_drift_at: with
-  /// drift_at != 0 the input applies fresh vectors only during its hot
-  /// phase (before drift_at when hot_first, after it otherwise) and holds
-  /// a frozen vector index during the cold phase.
+  /// Self-scheduled stimulus: a new vector every `period`.  State layout
+  /// (K = lane_words(lanes)): b = stimulus word 0, w[wd-1] = words
+  /// 1..K-1; a = divergence word 0, w[K-1 + wd-1] = divergence words
+  /// 1..K-1 (observing inputs only).  With `uniform_stimulus` every lane
+  /// draws from the base seed (fault-sim mode); otherwise lane j draws
+  /// from lane_seed(seed, j).  `drift_at` / `hot_first` implement
+  /// ModelOptions::stim_drift_at: with drift_at != 0 the input applies
+  /// fresh vectors only during its hot phase (before drift_at when
+  /// hot_first, after it otherwise) and holds a frozen vector index during
+  /// the cold phase.
   InputLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-          warped::SimTime delay, std::uint64_t seed,
-          warped::SimTime drift_at = 0, bool hot_first = true);
+          warped::SimTime delay, std::uint64_t seed, std::uint32_t lanes,
+          bool uniform_stimulus = false, warped::SimTime drift_at = 0,
+          bool hot_first = true, std::vector<std::uint64_t> sa_mask = {},
+          std::vector<std::uint64_t> sa_value = {}, bool observe = false);
 
-  warped::LpState initial_state() const override { return {}; }
+  warped::LpState initial_state() const override;
   void init(warped::Context& ctx) override;
   void execute(warped::Context& ctx, warped::EventBatch batch) override;
 
-  /// The stimulus bit this input applies for vector index `n` — pure
-  /// counter-based hash, identical across rollbacks and node counts.
+  /// The stimulus bit seed `seed` applies at input `lp` for vector index
+  /// `n` — pure counter-based hash, identical across rollbacks and node
+  /// counts.
   static bool vector_bit(std::uint64_t seed, warped::LpId lp,
                          std::uint64_t n) noexcept;
 
-  static bool output_of(const warped::LpState& s) noexcept {
-    return (s.b & 1) != 0;
-  }
-
- private:
-  std::vector<FanoutPort> fanouts_;
-  warped::SimTime period_;
-  warped::SimTime delay_;
-  std::uint64_t seed_;
-  warped::SimTime drift_at_ = 0;
-  bool hot_first_ = true;
-};
-
-// ---- batched (bit-parallel, up to kMaxLanes-wide) behaviours ---------------
-//
-// Lane-for-lane the same automata as GateLp/DffLp/InputLp, evaluated over
-// whole value words: state keeps K = lane_words(lanes) lane words per
-// signal, events carry K value words plus K change-mask words, and an
-// event fires only when at least one lane changed.  Unchanged lanes are
-// never perturbed (masked application), so lane j's committed trajectory
-// is exactly the scalar run's — the lane-equivalence contract lanes.hpp
-// documents and tests/batch_equivalence_property_test.cpp enforces.
-// Word 0 of every signal lives in the legacy LpState slot its 64-lane
-// predecessor used; words 1..K-1 extend into LpState::w (layouts below),
-// so K = 1 states are byte-identical to the single-word engine's.
-//
-// All three support stuck-at injection at their output (sa_mask / sa_value
-// lane words, one entry per value word) and, on observing gates (primary
-// outputs in fault mode), a monotone divergence accumulator against
-// fault-free lane 0.
-
-class BatchGateLp final : public warped::LogicalProcess {
- public:
-  /// State layout (K = lane_words(lanes)): w[wd*arity + p] = word wd of
-  /// fanin p (word-major, so eval_gate_word reads one contiguous run per
-  /// word); b = output word 0, w[arity*K + wd-1] = output words 1..K-1;
-  /// a = divergence word 0, w[arity*K + K-1 + wd-1] = divergence words
-  /// 1..K-1 (observing gates only).
-  BatchGateLp(circuit::GateType type, std::uint32_t arity,
-              std::vector<FanoutPort> fanouts, warped::SimTime delay,
-              std::uint32_t lanes,
-              std::vector<std::uint64_t> sa_mask = {},
-              std::vector<std::uint64_t> sa_value = {}, bool observe = false);
-
-  warped::LpState initial_state() const override;
-  void init(warped::Context& ctx) override;
-  void execute(warped::Context& ctx, warped::EventBatch batch) override;
-
-  /// Current output lane word 0 of a state.
-  static std::uint64_t output_word_of(const warped::LpState& s) noexcept {
-    return s.b;
-  }
-
- private:
-  circuit::GateType type_;
-  std::uint32_t arity_;
-  std::vector<FanoutPort> fanouts_;
-  warped::SimTime delay_;
-  std::uint32_t words_;
-  std::uint64_t active_[kMaxLaneWords];
-  std::uint64_t sa_mask_[kMaxLaneWords];
-  std::uint64_t sa_value_[kMaxLaneWords];
-  bool observe_;
-};
-
-class BatchDffLp final : public warped::LogicalProcess {
- public:
-  /// State layout (K = lane_words(lanes)): a = latched D word 0, b = Q
-  /// word 0; w[0..K) = lanes armed for the next sampling edge (per-lane
-  /// clock suppression); w[K + wd-1] = D words 1..K-1; w[2K-1 + wd-1] =
-  /// Q words 1..K-1; w[3K-2 + wd] = divergence words 0..K-1 (observing
-  /// DFFs only).
-  BatchDffLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-             warped::SimTime phase, warped::SimTime delay,
-             std::uint32_t lanes,
-             std::vector<std::uint64_t> sa_mask = {},
-             std::vector<std::uint64_t> sa_value = {}, bool observe = false);
-
-  warped::LpState initial_state() const override;
-  void init(warped::Context& ctx) override;
-  void execute(warped::Context& ctx, warped::EventBatch batch) override;
-
-  /// First clock edge at or after t (edges at phase + n·period).
-  warped::SimTime next_edge_at_or_after(warped::SimTime t) const;
-
- private:
-  std::vector<FanoutPort> fanouts_;
-  warped::SimTime period_;
-  warped::SimTime phase_;
-  warped::SimTime delay_;
-  std::uint32_t words_;
-  std::uint64_t active_[kMaxLaneWords];
-  std::uint64_t sa_mask_[kMaxLaneWords];
-  std::uint64_t sa_value_[kMaxLaneWords];
-  bool observe_;
-};
-
-class BatchInputLp final : public warped::LogicalProcess {
- public:
-  /// State layout (K = lane_words(lanes)): b = stimulus word 0,
-  /// w[wd-1] = words 1..K-1; a = divergence word 0, w[K-1 + wd-1] =
-  /// divergence words 1..K-1 (observing inputs only).  With
-  /// `uniform_stimulus` every lane draws from the base seed (fault-sim
-  /// mode); otherwise lane j draws from lane_seed(seed, j).
-  BatchInputLp(std::vector<FanoutPort> fanouts, warped::SimTime period,
-               warped::SimTime delay, std::uint64_t seed,
-               std::uint32_t lanes, bool uniform_stimulus = false,
-               warped::SimTime drift_at = 0, bool hot_first = true,
-               std::vector<std::uint64_t> sa_mask = {},
-               std::vector<std::uint64_t> sa_value = {}, bool observe = false);
-
-  warped::LpState initial_state() const override;
-  void init(warped::Context& ctx) override;
-  void execute(warped::Context& ctx, warped::EventBatch batch) override;
-
   /// Packed stimulus word `word` (lanes [64·word, 64·word+64)) for vector
-  /// index `n` — per-lane counter hashes, identical across rollbacks and
-  /// node counts.
+  /// index `n`: bit j is vector_bit of lane j's seed.
   static std::uint64_t vector_word(std::uint64_t seed, warped::LpId lp,
                                    std::uint64_t n, std::uint32_t lanes,
                                    bool uniform,
                                    std::uint32_t word = 0) noexcept;
 
+  /// Lane 0 of the current stimulus value encoded in a state.
+  static bool output_of(const warped::LpState& s) noexcept {
+    return (s.b & 1) != 0;
+  }
+
  private:
-  std::vector<FanoutPort> fanouts_;
+  bool uniform_;
+  bool hot_first_;
+  bool observe_;
+  std::uint16_t lanes_;
   warped::SimTime period_;
   warped::SimTime delay_;
   std::uint64_t seed_;
-  std::uint32_t lanes_;
-  std::uint32_t words_;
-  std::uint64_t active_[kMaxLaneWords];
-  bool uniform_;
-  warped::SimTime drift_at_ = 0;
-  bool hot_first_ = true;
-  std::uint64_t sa_mask_[kMaxLaneWords];
-  std::uint64_t sa_value_[kMaxLaneWords];
-  bool observe_;
+  warped::SimTime drift_at_;
+  std::vector<FanoutPort> fanouts_;
+  StuckAtWords sa_;
 };
 
 }  // namespace pls::logicsim

@@ -36,8 +36,8 @@ class Context {
   /// Send `value` to `target`'s input `port`, arriving at `recv_time`
   /// (must be strictly greater than now(): nonzero lookahead keeps the
   /// simulation free of zero-delay cycles).  `mask` flags the lanes whose
-  /// value changed (see Event): batched LPs pass the change word and must
-  /// not call send() with mask == 0; scalar LPs keep the default bit 0.
+  /// value changed (see Event): LPs pass the change word and must not
+  /// call send() with mask == 0; self-scheduled ticks keep the default 1.
   virtual void send(LpId target, SimTime recv_time, std::uint32_t port,
                     std::uint64_t value, std::uint64_t mask = 1) = 0;
 

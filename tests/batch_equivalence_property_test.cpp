@@ -1,14 +1,16 @@
-// Lane-equivalence property harness for the bit-parallel batched stimulus
-// engine — the correctness contract of src/logicsim/lanes.hpp:
+// Lane-equivalence property harness for the bit-parallel stimulus lanes —
+// the correctness contract of src/logicsim/lanes.hpp:
 //
-//   lane j of a batched run with base seed S is bit-identical to an
-//   independent scalar (lanes = 1) run with seed lane_seed(S, j).
+//   lane j of a run with base seed S is bit-identical to an independent
+//   scalar run with seed lane_seed(S, j).
 //
-// Swept over random generated circuits × seeds × lane counts, on both
-// backends: the batched Time Warp run must commit exactly the batched
-// sequential run's results (the classic equivalence check — same model,
-// both backends), and every lane of either must project onto the final
-// states of its own scalar reference run.  Dedicated cases drive the
+// The scalar runs come from tests/scalar_reference.hpp, a one-scenario
+// model written apart from the production LPs, so 1-lane runs are checked
+// too.  Swept over random generated circuits × seeds × lane counts, on
+// both backends: the Time Warp run must commit exactly the sequential
+// run's results (the classic equivalence check — same model, both
+// backends), and every lane of either must project onto the final states
+// of its own scalar reference run.  Dedicated cases drive the
 // engine through a forced rollback storm (unlimited optimism, high
 // latency, maximal cut) and through live repartitioning with LP migration,
 // because masked events must survive cancellation and re-execution
@@ -26,6 +28,7 @@
 #include "framework/driver.hpp"
 #include "logicsim/equivalence.hpp"
 #include "logicsim/lanes.hpp"
+#include "scalar_reference.hpp"
 
 namespace pls {
 namespace {
@@ -52,16 +55,13 @@ framework::DriverConfig fast_config() {
   return cfg;
 }
 
-/// Scalar sequential reference for one lane of a batched run.
+/// Independent scalar reference run for one lane of a run under `cfg`.
 logicsim::SeqStats scalar_reference(const circuit::Circuit& c,
-                                    const framework::DriverConfig& batched,
+                                    const framework::DriverConfig& cfg,
                                     unsigned lane) {
-  framework::DriverConfig scalar = batched;
-  scalar.lanes = 1;
-  scalar.model.faults.clear();
-  scalar.model.uniform_stimulus = false;
-  scalar.seed = logicsim::lane_seed(batched.seed, lane);
-  return framework::run_sequential(c, scalar);
+  logicsim::ModelOptions opt = cfg.model;
+  opt.stim_seed = logicsim::lane_seed(cfg.seed, lane);
+  return testref::run_scalar_reference(c, opt, cfg.end_time);
 }
 
 /// Check the given lanes of batched final states against their scalar
@@ -164,6 +164,8 @@ TEST_P(BatchEquivalenceSweep, EveryLaneMatchesItsScalarRun) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, BatchEquivalenceSweep,
     ::testing::Values(BatchParam{101, 64, "Multilevel", 4, 1},
+                      BatchParam{101, 1, "Multilevel", 4, 1},
+                      BatchParam{202, 1, "Random", 3, 4},
                       BatchParam{202, 7, "Random", 3, 1},
                       BatchParam{202, 7, "Random", 3, 4},
                       BatchParam{303, 2, "DFS", 2, 1},
@@ -359,20 +361,55 @@ TEST(BatchEquivalenceExtras, WideFaultSimulationDetectsAcrossWords) {
 }
 
 TEST(BatchEquivalenceExtras, SingleLaneBatchedRunMatchesScalarEngine) {
-  // lanes = 1 must elaborate the classic scalar behaviours — the batched
-  // engine's existence is invisible to single-lane users.
+  // A 1-lane run is the scalar engine, event for event: its sequential
+  // run matches the independent scalar reference in final states, events
+  // processed and per-LP sends, and lane 0 of a 2-lane run matches it too.
   const circuit::Circuit c = random_circuit(707);
   framework::DriverConfig cfg = fast_config();
   cfg.lanes = 1;
+  const auto ref = scalar_reference(c, cfg, 0);
   const auto seq1 = framework::run_sequential(c, cfg);
+  const auto rep1 = logicsim::check_lane_equivalence(
+      c, seq1.final_states, 0, cfg.lanes, ref.final_states);
+  EXPECT_TRUE(rep1.ok()) << rep1.describe();
+  EXPECT_EQ(seq1.events_processed, ref.events_processed);
+  EXPECT_EQ(seq1.per_lp_sends, ref.per_lp_sends);
 
   framework::DriverConfig wide = cfg;
   wide.lanes = 2;
   const auto seq2 = framework::run_sequential(c, wide);
-  const auto rep =
-      logicsim::check_lane_equivalence(c, seq2.final_states, 0, wide.lanes,
-                                       seq1.final_states);
-  EXPECT_TRUE(rep.ok()) << rep.describe();
+  const auto rep2 = logicsim::check_lane_equivalence(
+      c, seq2.final_states, 0, wide.lanes, ref.final_states);
+  EXPECT_TRUE(rep2.ok()) << rep2.describe();
+}
+
+TEST(BatchEquivalenceExtras, SingleLaneProjectionEqualsScalarReference) {
+  // At one lane the projection is the identity on gate and input states
+  // and drops the DFF's armed word, so it equals the scalar reference's
+  // states exactly — on both backends, through DriverResult::lane_states,
+  // with drifting stimulus exercising the cold-phase freeze.
+  const circuit::Circuit c = random_circuit(808);
+  framework::DriverConfig cfg = fast_config();
+  cfg.lanes = 1;
+  cfg.partitioner = "Random";
+  cfg.num_nodes = 3;
+  cfg.model.stim_drift_at = 150;
+  const auto ref = scalar_reference(c, cfg, 0);
+
+  const auto seq = framework::run_sequential(c, cfg);
+  EXPECT_EQ(logicsim::extract_lane_states(c, seq.final_states, 0, 1),
+            ref.final_states);
+  const auto par = framework::run_parallel(c, cfg);
+  ASSERT_TRUE(logicsim::check_equivalence(par.run, seq).ok());
+  EXPECT_EQ(par.lane_states(c, 0), ref.final_states);
+
+  // The projection keeps every gate and input state as it is.
+  const auto projected = par.lane_states(c, 0);
+  for (circuit::GateId g = 0; g < c.size(); ++g) {
+    if (c.type(g) != circuit::GateType::kDff) {
+      EXPECT_EQ(projected[g], par.run.final_states[g]) << "LP " << g;
+    }
+  }
 }
 
 }  // namespace

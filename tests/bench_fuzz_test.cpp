@@ -1,5 +1,7 @@
-// Seeded mutation fuzz of the .bench reader — untrusted netlists must
-// fail with a typed error, never crash or leak another exception type.
+// Seeded mutation fuzz of the two on-disk readers.
+//
+// The .bench reader: untrusted netlists must fail with a typed error,
+// never crash or leak another exception type.
 //
 // Each mutant is the s5378 stand-in's .bench text with a few seeded edits,
 // either byte-level (overwrite / insert / delete one byte, biased toward
@@ -10,13 +12,23 @@
 //   * an accepted mutant is a valid netlist, so a bounded sample of them
 //     must also simulate: the parallel Time Warp run commits exactly the
 //     sequential reference's results under two partitioning strategies.
-// The mutant stream is a pure function of kFuzzSeed, so a failure
+//
+// The partition-cache loader: a `.part` file written by
+// partition_cache_store, corrupted by seeded byte- and line-level edits
+// (including out-of-range and malformed node numbers), must load as
+// either a miss or an assignment of the requested size with every node
+// below k — never throw, never crash.
+//
+// Each mutant stream is a pure function of its seed, so a failure
 // reproduces by its mutant index.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <exception>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +36,7 @@
 #include "circuit/bench_io.hpp"
 #include "circuit/generator.hpp"
 #include "framework/driver.hpp"
+#include "framework/partition_cache.hpp"
 #include "logicsim/equivalence.hpp"
 #include "util/rng.hpp"
 
@@ -189,6 +202,134 @@ TEST(BenchFuzz, MutantsAreRejectedWithTypedErrorsOrSimulateEquivalently) {
   // The stream must exercise both outcomes, or the test proves nothing.
   EXPECT_GT(rejected, kMutants / 4);
   EXPECT_EQ(simulated, kMaxSimulated) << accepted << " mutants accepted";
+}
+
+// ---- partition-cache loader ------------------------------------------------
+
+constexpr std::uint64_t kCacheFuzzSeed = 0x9A27F022;
+constexpr int kCacheMutants = 500;
+
+char part_byte(util::Rng& rng) {
+  static constexpr char kInteresting[] = "0123456789abcdefx -+\n\t";
+  if (rng.chance(0.25)) return static_cast<char>(rng.below(256));
+  return kInteresting[rng.below(sizeof(kInteresting) - 1)];
+}
+
+/// Line edits: drop, duplicate, swap or cut a line, or overwrite one
+/// whitespace-separated token with a node number that is in range, out of
+/// range, negative or too wide for 32 bits.
+void mutate_part_lines(std::vector<std::string>& lines, util::Rng& rng) {
+  if (lines.empty()) return;
+  const std::size_t at = rng.below(lines.size());
+  switch (rng.below(5)) {
+    case 0:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      break;
+    case 1:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                   lines[rng.below(lines.size())]);
+      break;
+    case 2:
+      std::swap(lines[at], lines[rng.below(lines.size())]);
+      break;
+    case 3:
+      lines[at].resize(rng.below(lines[at].size() + 1));
+      break;
+    default: {
+      static const char* const kNumbers[] = {"0", "3", "4", "7", "-1",
+                                             "4294967295", "4294967296",
+                                             "99999999999999999999", "1e3"};
+      std::string& l = lines[at];
+      std::size_t begin = rng.below(l.size() + 1);
+      while (begin > 0 && l[begin - 1] != ' ') --begin;
+      std::size_t end = l.find(' ', begin);
+      if (end == std::string::npos) end = l.size();
+      l = l.substr(0, begin) + kNumbers[rng.below(9)] + l.substr(end);
+      break;
+    }
+  }
+}
+
+TEST(PartitionCacheFuzz, CorruptFilesLoadAsMissOrValidAssignment) {
+  constexpr std::uint32_t k = 4;
+  constexpr std::size_t n = 300;
+  constexpr std::uint64_t key = 0x5eed5eed;
+  util::Rng rng(kCacheFuzzSeed);
+  partition::Partition p;
+  p.k = k;
+  for (std::size_t i = 0; i < n; ++i) {
+    p.assign.push_back(static_cast<std::uint32_t>(rng.below(k)));
+  }
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "pls_pcache_fuzz";
+  std::filesystem::remove_all(dir);
+  framework::partition_cache_store(dir.string(), key, p);
+  const auto files = std::filesystem::directory_iterator(dir);
+  const std::filesystem::path file = std::filesystem::begin(files)->path();
+  std::string base;
+  {
+    std::ifstream in(file);
+    base.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  partition::Partition loaded;
+  ASSERT_TRUE(framework::partition_cache_load(dir.string(), key, k, n,
+                                              &loaded));
+  ASSERT_EQ(loaded.assign, p.assign);
+
+  int hits = 0;
+  int misses = 0;
+  for (int m = 0; m < kCacheMutants; ++m) {
+    std::string text = base;
+    const int edits = 1 + static_cast<int>(rng.below(3));
+    if (rng.chance(0.5)) {
+      for (int e = 0; e < edits; ++e) {
+        const std::size_t at = rng.below(text.size() + 1);
+        switch (rng.below(3)) {
+          case 0:
+            if (at < text.size()) text[at] = part_byte(rng);
+            break;
+          case 1:
+            text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                        part_byte(rng));
+            break;
+          default:
+            if (at < text.size()) text.erase(at, 1);
+            break;
+        }
+      }
+    } else {
+      std::vector<std::string> lines = split_lines(text);
+      for (int e = 0; e < edits; ++e) mutate_part_lines(lines, rng);
+      text = join_lines(lines);
+    }
+    {
+      std::ofstream out(file, std::ios::trunc | std::ios::binary);
+      out << text;
+    }
+    partition::Partition got;
+    try {
+      if (!framework::partition_cache_load(dir.string(), key, k, n, &got)) {
+        ++misses;
+        continue;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << m << " threw: " << e.what();
+      continue;
+    }
+    ++hits;
+    EXPECT_EQ(got.k, k) << "mutant " << m;
+    ASSERT_EQ(got.assign.size(), n) << "mutant " << m;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_LT(got.assign[i], k) << "mutant " << m << " node " << i;
+    }
+  }
+  std::filesystem::remove_all(dir);
+  std::printf("%d cache mutants: %d misses, %d hits\n", kCacheMutants,
+              misses, hits);
+  // Both outcomes must occur, or the stream proves nothing.
+  EXPECT_GT(misses, kCacheMutants / 4);
+  EXPECT_GT(hits, 0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "circuit/generator.hpp"
 #include "framework/driver.hpp"
 #include "logicsim/equivalence.hpp"
+#include "scalar_reference.hpp"
 
 namespace pls {
 namespace {
@@ -86,6 +87,22 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.nodes) + "_sp" +
              std::to_string(info.param.state_period);
     });
+
+TEST(EquivalenceExtras, SequentialRunMatchesIndependentScalarReference) {
+  // Anchor the chain: the sequential run every parallel run above is
+  // checked against matches the scalar reference model written apart from
+  // the production LPs — final states and event count.
+  const framework::DriverConfig cfg = fast_config();
+  const auto& c = property_circuit();
+  const auto seq = framework::run_sequential(c, cfg);
+  logicsim::ModelOptions opt = cfg.model;
+  opt.stim_seed = cfg.seed;
+  const auto ref = testref::run_scalar_reference(c, opt, cfg.end_time);
+  const auto rep = logicsim::check_lane_equivalence(
+      c, seq.final_states, 0, cfg.lanes, ref.final_states);
+  EXPECT_TRUE(rep.ok()) << rep.describe();
+  EXPECT_EQ(seq.events_processed, ref.events_processed);
+}
 
 TEST(EquivalenceExtras, HighLatencyRollbackStorm) {
   // Large latency makes every cross-node signal a straggler factory.

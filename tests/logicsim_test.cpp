@@ -1,6 +1,7 @@
 // Tests for the gate-level LP layer: exhaustive truth tables for
-// eval_gate, behaviour of GateLp / DffLp / InputLp against a mock context,
-// and the elaboration (build_model) port wiring.
+// eval_gate, behaviour of GateLp / DffLp / InputLp against a mock context
+// at one lane (packed fanin layout) and at several (lane-word layout), and
+// the elaboration (build_model) port wiring.
 
 #include <gtest/gtest.h>
 
@@ -135,7 +136,7 @@ Event port_event(std::uint32_t port, std::uint64_t value, SimTime t) {
 Event tick_event(SimTime t) { return port_event(kTickPort, 0, t); }
 
 TEST(GateLp, EmitsOnOutputChangeOnly) {
-  GateLp g(GateType::kAnd, 2, {{7, 0}, {8, 1}}, /*delay=*/2);
+  GateLp g(GateType::kAnd, 2, {{7, 0}, {8, 1}}, /*delay=*/2, /*lanes=*/1);
   MockContext ctx;
   ctx.state_v = g.initial_state();
 
@@ -161,8 +162,9 @@ TEST(GateLp, EmitsOnOutputChangeOnly) {
 }
 
 TEST(GateLp, BatchAppliesAllPortsAtOnce) {
-  GateLp g(GateType::kAnd, 2, {{7, 0}}, 1);
+  GateLp g(GateType::kAnd, 2, {{7, 0}}, 1, /*lanes=*/1);
   MockContext ctx;
+  ctx.state_v = g.initial_state();
   ctx.now_v = 5;
   std::vector<Event> batch{port_event(0, 1, 5), port_event(1, 1, 5)};
   g.execute(ctx, batch);
@@ -172,8 +174,9 @@ TEST(GateLp, BatchAppliesAllPortsAtOnce) {
 
 TEST(GateLp, PowerOnTickAnnouncesRisenOutput) {
   // NAND with all-zero inputs evaluates to 1 at power-on.
-  GateLp g(GateType::kNand, 2, {{3, 0}}, 1);
+  GateLp g(GateType::kNand, 2, {{3, 0}}, 1, /*lanes=*/1);
   MockContext ctx;
+  ctx.state_v = g.initial_state();
   g.init(ctx);  // schedules the power-on tick
   ASSERT_EQ(ctx.sent.size(), 1u);
   EXPECT_EQ(ctx.sent[0].port, kTickPort);
@@ -188,8 +191,9 @@ TEST(GateLp, PowerOnTickAnnouncesRisenOutput) {
 }
 
 TEST(GateLp, SuppressesSendsBeyondEndTime) {
-  GateLp g(GateType::kNot, 1, {{3, 0}}, 5);
+  GateLp g(GateType::kNot, 1, {{3, 0}}, 5, /*lanes=*/1);
   MockContext ctx;
+  ctx.state_v = g.initial_state();
   ctx.now_v = 998;
   ctx.end_v = 1000;
   std::vector<Event> batch{tick_event(998)};
@@ -198,14 +202,29 @@ TEST(GateLp, SuppressesSendsBeyondEndTime) {
 }
 
 TEST(GateLp, RejectsIllegalArity) {
-  EXPECT_THROW(GateLp(GateType::kAnd, 0, {}, 1), pls::util::CheckError);
-  EXPECT_THROW(GateLp(GateType::kAnd, 65, {}, 1), pls::util::CheckError);
-  EXPECT_THROW(GateLp(GateType::kAnd, 2, {}, 0), pls::util::CheckError);
+  EXPECT_THROW(GateLp(GateType::kAnd, 0, {}, 1, 1), pls::util::CheckError);
+  EXPECT_THROW(GateLp(GateType::kAnd, 65, {}, 1, 1), pls::util::CheckError);
+  EXPECT_THROW(GateLp(GateType::kAnd, 2, {}, 0, 1), pls::util::CheckError);
+  EXPECT_THROW(GateLp(GateType::kAnd, 2, {}, 1, 0), pls::util::CheckError);
+  EXPECT_THROW(GateLp(GateType::kAnd, 2, {}, 1, kMaxLanes + 1),
+               pls::util::CheckError);
+}
+
+TEST(GateLp, DivergenceObservationNeedsTwoLanes) {
+  // Lane 0 is the divergence reference, so a 1-lane LP has nothing to
+  // observe (and its packed fanin word has no room for an accumulator).
+  EXPECT_THROW(GateLp(GateType::kBuf, 1, {}, 1, /*lanes=*/1, {}, {},
+                      /*observe=*/true),
+               pls::util::CheckError);
+  EXPECT_NO_THROW(GateLp(GateType::kBuf, 1, {}, 1, /*lanes=*/2, {}, {},
+                         /*observe=*/true));
 }
 
 TEST(DffLp, SamplesAtFirstEdgeAfterDataChange) {
-  DffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1);
+  DffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1,
+           /*lanes=*/1);
   MockContext ctx;
+  ctx.state_v = ff.initial_state();
 
   // D rises at t=3: no output yet, but a sampling tick is armed for the
   // next clock edge (clock suppression — see DffLp::init).
@@ -230,7 +249,7 @@ TEST(DffLp, SamplesAtFirstEdgeAfterDataChange) {
 }
 
 TEST(DffLp, EdgeComputationIsAligned) {
-  DffLp ff({}, /*period=*/10, /*phase=*/5, /*delay=*/1);
+  DffLp ff({}, /*period=*/10, /*phase=*/5, /*delay=*/1, /*lanes=*/1);
   EXPECT_EQ(ff.next_edge_at_or_after(0), 5u);
   EXPECT_EQ(ff.next_edge_at_or_after(5), 5u);
   EXPECT_EQ(ff.next_edge_at_or_after(6), 15u);
@@ -239,8 +258,9 @@ TEST(DffLp, EdgeComputationIsAligned) {
 }
 
 TEST(DffLp, DataOnClockEdgeIsCaptured) {
-  DffLp ff({{5, 0}}, 10, 10, 1);
+  DffLp ff({{5, 0}}, 10, 10, 1, /*lanes=*/1);
   MockContext ctx;
+  ctx.state_v = ff.initial_state();
   ctx.now_v = 10;
   // D event and tick in the same batch: data-first rule captures the 1.
   std::vector<Event> batch{tick_event(10), port_event(0, 1, 10)};
@@ -249,8 +269,9 @@ TEST(DffLp, DataOnClockEdgeIsCaptured) {
 }
 
 TEST(DffLp, NoEmissionWhenQUnchanged) {
-  DffLp ff({{5, 0}}, 10, 10, 1);
+  DffLp ff({{5, 0}}, 10, 10, 1, /*lanes=*/1);
   MockContext ctx;
+  ctx.state_v = ff.initial_state();
   ctx.now_v = 10;
   std::vector<Event> batch{tick_event(10)};  // D=0, Q=0
   ff.execute(ctx, batch);
@@ -270,8 +291,10 @@ TEST(InputLp, VectorBitIsPureFunction) {
 }
 
 TEST(InputLp, AppliesVectorAndReschedules) {
-  InputLp in({{2, 0}}, /*period=*/20, /*delay=*/1, /*seed=*/7);
+  InputLp in({{2, 0}}, /*period=*/20, /*delay=*/1, /*seed=*/7,
+             /*lanes=*/1);
   MockContext ctx;
+  ctx.state_v = in.initial_state();
   ctx.self_v = 9;
   ctx.now_v = 40;  // vector index 2
   std::vector<Event> batch{tick_event(40)};
@@ -290,7 +313,7 @@ TEST(InputLp, AppliesVectorAndReschedules) {
   EXPECT_EQ(ctx.sent.back().recv_time, 60u);
 }
 
-// ---- batched (bit-parallel) engine -----------------------------------------
+// ---- several lanes (lane-word layout) ----------------------------------------
 
 Event masked_event(std::uint32_t port, std::uint64_t value,
                    std::uint64_t mask, SimTime t) {
@@ -343,8 +366,8 @@ TEST(EvalGateWord, MatchesScalarEvalLaneByLane) {
   }
 }
 
-TEST(BatchGateLp, MaskedApplicationAndDiffGatedEmission) {
-  BatchGateLp g(GateType::kAnd, 2, {{7, 0}}, /*delay=*/2, /*lanes=*/64);
+TEST(GateLp, MaskedApplicationAndDiffGatedEmission) {
+  GateLp g(GateType::kAnd, 2, {{7, 0}}, /*delay=*/2, /*lanes=*/64);
   MockContext ctx;
   ctx.state_v = g.initial_state();
   ASSERT_EQ(ctx.state_v.w.size(), 2u);
@@ -375,11 +398,11 @@ TEST(BatchGateLp, MaskedApplicationAndDiffGatedEmission) {
   EXPECT_EQ(ctx.sent[1].mask, 0b1u);
 }
 
-TEST(BatchGateLp, StuckAtForcesOnlyItsLane) {
+TEST(GateLp, StuckAtForcesOnlyItsLane) {
   // BUF with lane 1 stuck at 1: power-on announces the forced lane, and
   // later input changes ripple through lane 0 while lane 1 never moves.
-  BatchGateLp g(GateType::kBuf, 1, {{3, 0}}, 1, /*lanes=*/2,
-                /*sa_mask=*/{0b10}, /*sa_value=*/{0b10});
+  GateLp g(GateType::kBuf, 1, {{3, 0}}, 1, /*lanes=*/2,
+           /*sa_mask=*/{0b10}, /*sa_value=*/{0b10});
   MockContext ctx;
   ctx.state_v = g.initial_state();
   ctx.now_v = 0;
@@ -397,9 +420,9 @@ TEST(BatchGateLp, StuckAtForcesOnlyItsLane) {
   EXPECT_EQ(ctx.sent[1].mask, 0b01u);  // lane 1 was already forced to 1
 }
 
-TEST(BatchDffLp, TickSamplesOnlyArmedLanes) {
-  BatchDffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1,
-                /*lanes=*/64);
+TEST(DffLp, TickSamplesOnlyArmedLanes) {
+  DffLp ff({{5, 0}}, /*period=*/10, /*phase=*/10, /*delay=*/1,
+           /*lanes=*/64);
   MockContext ctx;
   ctx.state_v = ff.initial_state();
   ASSERT_EQ(ctx.state_v.w.size(), 1u);
@@ -439,9 +462,9 @@ TEST(BatchDffLp, TickSamplesOnlyArmedLanes) {
   EXPECT_EQ(ctx.state_v.w[0], 0u);
 }
 
-TEST(BatchDffLp, PhaseEdgeSamplesEveryLane) {
-  // The init edge is the one tick every scalar run owns: all lanes sample.
-  BatchDffLp ff({{5, 0}}, 10, 10, 1, /*lanes=*/64);
+TEST(DffLp, PhaseEdgeSamplesEveryLane) {
+  // The init edge is the one tick every 1-lane run owns: all lanes sample.
+  DffLp ff({{5, 0}}, 10, 10, 1, /*lanes=*/64);
   MockContext ctx;
   ctx.state_v = ff.initial_state();
   ctx.now_v = 10;
@@ -453,11 +476,11 @@ TEST(BatchDffLp, PhaseEdgeSamplesEveryLane) {
   EXPECT_EQ(ctx.sent[0].mask, 0b101u);
 }
 
-TEST(BatchInputLp, VectorWordPacksPerLaneSeeds) {
+TEST(InputLp, VectorWordPacksPerLaneSeeds) {
   for (std::uint64_t n = 0; n < 8; ++n) {
     const std::uint64_t w =
-        BatchInputLp::vector_word(/*seed=*/7, /*lp=*/3, n, /*lanes=*/8,
-                                  /*uniform=*/false);
+        InputLp::vector_word(/*seed=*/7, /*lp=*/3, n, /*lanes=*/8,
+                             /*uniform=*/false);
     EXPECT_LT(w, 1u << 8);  // lanes above the count stay clear
     for (unsigned j = 0; j < 8; ++j) {
       EXPECT_EQ((w >> j) & 1,
@@ -466,7 +489,7 @@ TEST(BatchInputLp, VectorWordPacksPerLaneSeeds) {
     }
     // Uniform mode broadcasts the base-seed bit to every lane.
     const std::uint64_t u =
-        BatchInputLp::vector_word(7, 3, n, 8, /*uniform=*/true);
+        InputLp::vector_word(7, 3, n, 8, /*uniform=*/true);
     EXPECT_EQ(u, InputLp::vector_bit(7, 3, n) ? lane_mask(8)
                                               : std::uint64_t{0});
   }
@@ -485,20 +508,27 @@ TEST(Lanes, SampleFaultsPicksDistinctSites) {
 // ---- elaboration -----------------------------------------------------------
 
 TEST(BuildModel, OneLpPerGateWithCorrectKinds) {
+  // One behaviour class per gate kind.  At the default single lane every
+  // state fits the fixed words: gates pack their fanin bits into `a`, and
+  // only a DFF keeps one (inline) armed word.
   const auto c = circuit::make_iscas_like("s5378", 3);
   const SimModel model = build_model(c);
   ASSERT_EQ(model.lps.size(), c.size());
   for (circuit::GateId g = 0; g < c.size(); ++g) {
     auto* lp = model.lps[g].get();
+    const LpState s = lp->initial_state();
     switch (c.type(g)) {
       case GateType::kInput:
         EXPECT_NE(dynamic_cast<InputLp*>(lp), nullptr);
+        EXPECT_TRUE(s.w.empty());
         break;
       case GateType::kDff:
         EXPECT_NE(dynamic_cast<DffLp*>(lp), nullptr);
+        EXPECT_EQ(s.w.size(), 1u);
         break;
       default:
         EXPECT_NE(dynamic_cast<GateLp*>(lp), nullptr);
+        EXPECT_TRUE(s.w.empty());
     }
   }
 }
@@ -540,6 +570,8 @@ TEST(BuildModel, RequiresFrozenCircuit) {
 }
 
 TEST(BuildModel, LanesElaborateBatchedBehaviours) {
+  // Several lanes elaborate the same classes; the lane count only picks
+  // the state layout (one value word per fanin at 4 lanes).
   const auto c = circuit::make_iscas_like("s5378", 3);
   ModelOptions opt;
   opt.lanes = 4;
@@ -548,13 +580,14 @@ TEST(BuildModel, LanesElaborateBatchedBehaviours) {
     auto* lp = model.lps[g].get();
     switch (c.type(g)) {
       case GateType::kInput:
-        EXPECT_NE(dynamic_cast<BatchInputLp*>(lp), nullptr);
+        EXPECT_NE(dynamic_cast<InputLp*>(lp), nullptr);
         break;
       case GateType::kDff:
-        EXPECT_NE(dynamic_cast<BatchDffLp*>(lp), nullptr);
+        EXPECT_NE(dynamic_cast<DffLp*>(lp), nullptr);
         break;
       default:
-        EXPECT_NE(dynamic_cast<BatchGateLp*>(lp), nullptr);
+        EXPECT_NE(dynamic_cast<GateLp*>(lp), nullptr);
+        EXPECT_EQ(lp->initial_state().w.size(), c.fanins(g).size());
     }
   }
 }
