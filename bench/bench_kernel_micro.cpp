@@ -1,14 +1,16 @@
 // Google-benchmark micro measurements of the kernel's primitive costs:
 // gate evaluation, event queue insertion, batch commit + snapshot,
-// rollback + cancellation, fossil collection, mailbox transfer, and the
-// multilevel pipeline phases.  These are the constants behind the
+// rollback + cancellation, fossil collection, mailbox transfer, the
+// multilevel pipeline phases, and .bench parsing.  These are the constants behind the
 // macro-level tables (a committed event in the gate model costs a handful
 // of these primitives).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
+#include "circuit/bench_io.hpp"
 #include "circuit/generator.hpp"
 #include "graph/weighted_graph.hpp"
 #include "logicsim/gate_eval.hpp"
@@ -291,6 +293,20 @@ void BM_GreedyRefineFinestLevel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyRefineFinestLevel)->Unit(benchmark::kMillisecond);
+
+// The s15850 stand-in's .bench text (pairbench's canonical netlist) to a
+// frozen Circuit: the fixed parse cost every end-to-end job pays.
+void BM_ParseBench(benchmark::State& state) {
+  const std::string text =
+      circuit::write_bench_string(circuit::make_iscas_like("s15850"));
+  for (auto _ : state) {
+    const circuit::Circuit c = circuit::parse_bench_string(text, "s15850");
+    benchmark::DoNotOptimize(c.num_edges());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseBench)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

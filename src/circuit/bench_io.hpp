@@ -13,11 +13,18 @@
 // The parser accepts the full published format: INPUT/OUTPUT declarations,
 // n-ary AND/NAND/OR/NOR/XOR/XNOR, unary NOT/BUF/BUFF/DFF, case-insensitive
 // keywords, forward references, comments and blank lines.  parse errors
-// carry line numbers.
+// carry line numbers.  Two leniencies are part of the accepted language:
+// a comma that ends a fanin list is ignored (`AND(a, b,)`), and so is any
+// text after a line's last ')'.
+//
+// The reader makes one pass over the text with string_view tokens and a
+// single name table, then assigns gate ids: inputs first, then gates, each
+// in declaration order.
 
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.hpp"
 
@@ -38,7 +45,7 @@ class BenchParseError : public std::runtime_error {
 /// Parse a .bench netlist from a stream / string / file.  The returned
 /// circuit is frozen (validated, fanouts built).
 Circuit parse_bench(std::istream& in, const std::string& name = "bench");
-Circuit parse_bench_string(const std::string& text,
+Circuit parse_bench_string(std::string_view text,
                            const std::string& name = "bench");
 Circuit parse_bench_file(const std::string& path);
 

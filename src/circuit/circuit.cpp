@@ -10,24 +10,33 @@ void Circuit::check_unfrozen() const {
   PLS_CHECK_MSG(!frozen_, "circuit '" << name_ << "' is frozen");
 }
 
-GateId Circuit::add_input(const std::string& name) {
+void Circuit::reserve(std::size_t gates, std::size_t edges) {
+  types_.reserve(gates);
+  names_.reserve(gates);
+  is_output_.reserve(gates);
+  by_name_.reserve(gates);
+  edges_.reserve(edges);
+}
+
+GateId Circuit::add_input(std::string_view name) {
   return add_gate(name, GateType::kInput);
 }
 
-GateId Circuit::add_gate(const std::string& name, GateType type,
-                         std::vector<GateId> fanins) {
+GateId Circuit::add_gate(std::string_view name, GateType type,
+                         const std::vector<GateId>& fanins) {
   check_unfrozen();
-  PLS_CHECK_MSG(!by_name_.count(name), "duplicate gate name '" << name << "'");
   for (GateId f : fanins) {
     PLS_CHECK_MSG(f < types_.size(),
                   "fanin id " << f << " of '" << name << "' out of range");
   }
   const auto id = static_cast<GateId>(types_.size());
+  names_.emplace_back(name);
+  const bool fresh = by_name_.insert(id, name_of()) == id;
+  if (!fresh) names_.pop_back();
+  PLS_CHECK_MSG(fresh, "duplicate gate name '" << name << "'");
   types_.push_back(type);
-  names_.push_back(name);
   is_output_.push_back(0);
-  fanin_build_.push_back(std::move(fanins));
-  by_name_.emplace(name, id);
+  for (GateId f : fanins) edges_.push_back({id, f});
   if (type == GateType::kInput) inputs_.push_back(id);
   if (type == GateType::kDff) dffs_.push_back(id);
   return id;
@@ -39,7 +48,7 @@ void Circuit::connect(GateId gate, GateId fanin) {
   PLS_CHECK(fanin < types_.size());
   PLS_CHECK_MSG(types_[gate] != GateType::kInput,
                 "primary input '" << names_[gate] << "' cannot have fanin");
-  fanin_build_[gate].push_back(fanin);
+  edges_.push_back({gate, fanin});
 }
 
 void Circuit::mark_output(GateId gate) {
@@ -50,16 +59,16 @@ void Circuit::mark_output(GateId gate) {
   }
 }
 
-void Circuit::mark_output(const std::string& name) {
+void Circuit::mark_output(std::string_view name) {
   const GateId g = find(name);
   PLS_CHECK_MSG(g != kInvalidGate, "mark_output: unknown gate '" << name
                                                                  << "'");
   mark_output(g);
 }
 
-GateId Circuit::find(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? kInvalidGate : it->second;
+GateId Circuit::find(std::string_view name) const {
+  // NameIndex::kNone and kInvalidGate are the same all-ones id.
+  return by_name_.find(name, name_of());
 }
 
 std::span<const GateId> Circuit::fanouts(GateId g) const {
@@ -70,7 +79,7 @@ std::span<const GateId> Circuit::fanouts(GateId g) const {
 
 void Circuit::check_arities() const {
   for (GateId g = 0; g < types_.size(); ++g) {
-    const auto n = static_cast<int>(fanin_build_[g].size());
+    const auto n = static_cast<int>(fanin_off_[g + 1] - fanin_off_[g]);
     PLS_CHECK_MSG(n >= min_arity(types_[g]) && n <= max_arity(types_[g]),
                   "gate '" << names_[g] << "' (" << to_string(types_[g])
                            << ") has illegal fanin count " << n);
@@ -92,7 +101,7 @@ void Circuit::check_combinational_acyclic() const {
     color[root] = kGray;
     while (!stack.empty()) {
       auto& [g, idx] = stack.back();
-      const auto& fin = fanin_build_[g];
+      const auto fin = fanins(g);
       if (idx == fin.size()) {
         color[g] = kBlack;
         stack.pop_back();
@@ -114,22 +123,22 @@ void Circuit::check_combinational_acyclic() const {
   }
 }
 
-void Circuit::build_fanouts() {
-  // Flatten fanins to CSR.
+void Circuit::build_fanin_csr() {
+  // Stable counting sort of the edge list by gate: a gate's fanins keep
+  // the order they were connected in.
   fanin_off_.assign(types_.size() + 1, 0);
-  std::size_t total = 0;
-  for (GateId g = 0; g < types_.size(); ++g) {
-    fanin_off_[g] = static_cast<std::uint32_t>(total);
-    total += fanin_build_[g].size();
+  for (const Edge& e : edges_) ++fanin_off_[e.gate + 1];
+  for (std::size_t i = 1; i < fanin_off_.size(); ++i) {
+    fanin_off_[i] += fanin_off_[i - 1];
   }
-  fanin_off_[types_.size()] = static_cast<std::uint32_t>(total);
-  fanin_flat_.clear();
-  fanin_flat_.reserve(total);
-  for (const auto& v : fanin_build_) {
-    fanin_flat_.insert(fanin_flat_.end(), v.begin(), v.end());
-  }
+  fanin_flat_.assign(edges_.size(), kInvalidGate);
+  std::vector<std::uint32_t> cursor(fanin_off_.begin(), fanin_off_.end() - 1);
+  for (const Edge& e : edges_) fanin_flat_[cursor[e.gate]++] = e.fanin;
+}
 
+void Circuit::build_fanouts() {
   // Counting sort into fanout CSR.
+  const std::size_t total = fanin_flat_.size();
   fanout_off_.assign(types_.size() + 1, 0);
   for (GateId f : fanin_flat_) ++fanout_off_[f + 1];
   for (std::size_t i = 1; i < fanout_off_.size(); ++i) {
@@ -139,7 +148,7 @@ void Circuit::build_fanouts() {
   std::vector<std::uint32_t> cursor(fanout_off_.begin(),
                                     fanout_off_.end() - 1);
   for (GateId g = 0; g < types_.size(); ++g) {
-    for (GateId f : fanin_build_[g]) {
+    for (GateId f : fanins(g)) {
       fanout_flat_[cursor[f]++] = g;
     }
   }
@@ -148,11 +157,12 @@ void Circuit::build_fanouts() {
 void Circuit::freeze() {
   check_unfrozen();
   PLS_CHECK_MSG(!types_.empty(), "empty circuit");
+  build_fanin_csr();
   check_arities();
   check_combinational_acyclic();
   build_fanouts();
-  fanin_build_.clear();
-  fanin_build_.shrink_to_fit();
+  edges_.clear();
+  edges_.shrink_to_fit();
   frozen_ = true;
 }
 

@@ -10,10 +10,11 @@
 
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "circuit/types.hpp"
+#include "util/name_index.hpp"
 
 namespace pls::circuit {
 
@@ -24,20 +25,23 @@ class Circuit {
 
   // ----- construction (before freeze) -----
 
-  /// Add a primary input. Names must be unique across all gates.
-  GateId add_input(const std::string& name);
+  /// Pre-size for `gates` gates and `edges` fanin connections.
+  void reserve(std::size_t gates, std::size_t edges);
 
-  /// Add a logic gate / flip-flop with named fanins added later via
-  /// connect(), or immediately via the id-based overload.
-  GateId add_gate(const std::string& name, GateType type,
-                  std::vector<GateId> fanins = {});
+  /// Add a primary input. Names must be unique across all gates.
+  GateId add_input(std::string_view name);
+
+  /// Add a logic gate / flip-flop, with its fanins given here (ids of
+  /// gates already added), appended later via connect(), or both.
+  GateId add_gate(std::string_view name, GateType type,
+                  const std::vector<GateId>& fanins = {});
 
   /// Append one more fanin to an existing gate.
   void connect(GateId gate, GateId fanin);
 
   /// Mark a gate's output signal as a primary output.
   void mark_output(GateId gate);
-  void mark_output(const std::string& name);
+  void mark_output(std::string_view name);
 
   /// Validate the netlist and build fanout/index structures.  Throws
   /// util::CheckError on arity violations, dangling references or
@@ -65,7 +69,7 @@ class Circuit {
   std::span<const GateId> fanouts(GateId g) const;
 
   /// Lookup by name; returns kInvalidGate if absent.
-  GateId find(const std::string& name) const;
+  GateId find(std::string_view name) const;
 
   const std::vector<GateId>& primary_inputs() const noexcept { return inputs_; }
   const std::vector<GateId>& primary_outputs() const noexcept {
@@ -82,9 +86,12 @@ class Circuit {
   std::size_t num_edges() const noexcept { return fanin_flat_.size(); }
 
  private:
-  friend class CircuitBuilderAccess;  // test hook
-
+  /// The key_of callable by_name_ reads names through.
+  auto name_of() const {
+    return [this](GateId g) -> std::string_view { return names_[g]; };
+  }
   void check_unfrozen() const;
+  void build_fanin_csr();
   void build_fanouts();
   void check_arities() const;
   void check_combinational_acyclic() const;
@@ -97,9 +104,14 @@ class Circuit {
   std::vector<std::string> names_;
   std::vector<std::uint8_t> is_output_;
 
-  // Fanins: per-gate vectors during construction, flattened to CSR by
-  // freeze() so hot loops see contiguous memory.
-  std::vector<std::vector<GateId>> fanin_build_;
+  // Fanins: one flat (gate, fanin) list in connection order during
+  // construction, sorted stably into CSR by freeze() so hot loops see
+  // contiguous memory and each gate keeps its fanin order.
+  struct Edge {
+    GateId gate;
+    GateId fanin;
+  };
+  std::vector<Edge> edges_;
   std::vector<std::uint32_t> fanin_off_;
   std::vector<GateId> fanin_flat_;
 
@@ -111,7 +123,8 @@ class Circuit {
   std::vector<GateId> outputs_;
   std::vector<GateId> dffs_;
 
-  std::unordered_map<std::string, GateId> by_name_;
+  // Name -> id over names_ (ids only; each name is stored once).
+  util::NameIndex by_name_;
 };
 
 }  // namespace pls::circuit

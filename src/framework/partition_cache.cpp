@@ -4,13 +4,16 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 namespace pls::framework {
 namespace {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-constexpr char kMagic[] = "plspart1";
+// Version 2 added the content hash; a version-1 file fails the magic
+// check and loads as a miss.
+constexpr char kMagic[] = "plspart2";
 
 struct Fnv {
   std::uint64_t h = kFnvOffset;
@@ -36,6 +39,18 @@ struct Fnv {
     mix(bits);
   }
 };
+
+/// Content hash stored in the header: k, n and every assignment entry, so
+/// an edited digit, a duplicated or swapped line or a cut file that still
+/// parses as a valid assignment no longer matches.
+std::uint64_t assignment_hash(std::uint32_t k,
+                              const std::vector<std::uint32_t>& assign) {
+  Fnv f;
+  f.mix(k);
+  f.mix(assign.size());
+  for (std::uint32_t node : assign) f.mix(node);
+  return f.h;
+}
 
 std::filesystem::path cache_path(const std::string& dir, std::uint64_t key) {
   char name[32];
@@ -98,8 +113,9 @@ bool partition_cache_load(const std::string& dir, std::uint64_t key,
   std::uint64_t file_key = 0;
   std::uint32_t file_k = 0;
   std::size_t file_n = 0;
+  std::uint64_t file_hash = 0;
   if (!(in >> magic >> std::hex >> file_key >> std::dec >> file_k >>
-        file_n)) {
+        file_n >> std::hex >> file_hash >> std::dec)) {
     return false;
   }
   if (magic != kMagic || file_key != key || file_k != k || file_n != n) {
@@ -113,6 +129,7 @@ bool partition_cache_load(const std::string& dir, std::uint64_t key,
     if (!(in >> node) || node >= k) return false;  // truncated / corrupt
     p.assign[i] = node;
   }
+  if (assignment_hash(k, p.assign) != file_hash) return false;
   *out = std::move(p);
   return true;
 }
@@ -130,7 +147,8 @@ void partition_cache_store(const std::string& dir, std::uint64_t key,
     std::ofstream out(tmp, std::ios::trunc);
     if (!out) return;
     out << kMagic << ' ' << std::hex << key << std::dec << ' ' << p.k << ' '
-        << p.assign.size() << '\n';
+        << p.assign.size() << ' ' << std::hex
+        << assignment_hash(p.k, p.assign) << std::dec << '\n';
     for (std::size_t i = 0; i < p.assign.size(); ++i) {
       out << p.assign[i] << ((i + 1) % 32 == 0 ? '\n' : ' ');
     }

@@ -9,10 +9,12 @@
 // vectors — and replays it from a flat file when the key matches.
 //
 // Format: one small text file per key, `<hex key>.part` under the cache
-// directory, holding a header (magic, key, k, n) and the assignment.  The
-// load path re-validates k and n against the request and the assignment
-// against the node count, so a stale or truncated file degrades to a miss
-// (and is overwritten by the fresh store), never to a bad partition.
+// directory, holding a header (magic, key, k, n, and a 64-bit FNV-1a hash
+// over k, n and the assignment) and the assignment.  The load path
+// re-validates k and n against the request, the assignment against the
+// node count and the hash against the assignment read, so a stale,
+// truncated or corrupted file degrades to a miss (and is overwritten by
+// the fresh store), never to a bad or different partition.
 //
 // Enabled via DriverConfig::partition_cache_dir (`--partition-cache <dir>`
 // in the examples).  Dynamic repartitioning composes fine: only the seed
@@ -42,8 +44,8 @@ std::uint64_t partition_cache_key(const circuit::Circuit& c, std::uint32_t k,
                                       weights);
 
 /// Load the cached assignment for `key` into `out`.  Returns false on any
-/// mismatch (absent file, wrong magic/key/k/n, out-of-range node) — a miss,
-/// never an error.
+/// mismatch (absent file, wrong magic/key/k/n, out-of-range node, content
+/// hash mismatch) — a miss, never an error.
 bool partition_cache_load(const std::string& dir, std::uint64_t key,
                           std::uint32_t k, std::size_t n,
                           partition::Partition* out);

@@ -19,13 +19,13 @@ MetricsSampler::~MetricsSampler() { stop(); }
 void MetricsSampler::start(std::uint64_t interval_us) {
   PLS_CHECK_MSG(interval_us > 0, "metrics sampler interval must be > 0");
   PLS_CHECK_MSG(!thread_.joinable(), "metrics sampler already running");
-  stop_.store(false, std::memory_order_release);
+  stop_.reset();
   thread_ = std::thread([this, interval_us] { sampler_main(interval_us); });
 }
 
 void MetricsSampler::stop() {
   if (!thread_.joinable()) return;
-  stop_.store(true, std::memory_order_release);
+  stop_.request();
   thread_.join();
 }
 
@@ -59,10 +59,8 @@ void MetricsSampler::take_sample(std::uint64_t start_ns) {
 void MetricsSampler::sampler_main(std::uint64_t interval_us) {
   const std::uint64_t start_ns = util::steady_now_ns();
   const std::uint64_t interval_ns = interval_us * 1000;
-  // Nap in short slices so stop() joins promptly even at long intervals.
-  constexpr std::uint64_t kMaxNapNs = 2'000'000;
   std::uint64_t next_ns = start_ns;  // first sample immediately
-  while (!stop_.load(std::memory_order_acquire)) {
+  while (!stop_.requested()) {
     const std::uint64_t now = util::steady_now_ns();
     if (now >= next_ns) {
       take_sample(start_ns);
@@ -70,11 +68,11 @@ void MetricsSampler::sampler_main(std::uint64_t interval_us) {
       // preempted sampler must not burst-sample to catch up).
       do { next_ns += interval_ns; } while (next_ns <= now);
     }
+    // stop() wakes this nap, so it may span the whole interval.
     const std::uint64_t now2 = util::steady_now_ns();
-    const std::uint64_t nap =
-        next_ns > now2 ? std::min(next_ns - now2, kMaxNapNs) : 0;
-    if (nap > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(nap));
+    if (next_ns > now2 &&
+        stop_.wait_for(std::chrono::nanoseconds(next_ns - now2))) {
+      break;
     }
   }
   // Final sample so the series always covers the end of the run.

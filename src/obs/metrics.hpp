@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/stop_signal.hpp"
+
 namespace pls::obs {
 
 /// One node's live gauges.  The owning node thread stores, the sampler
@@ -100,7 +102,7 @@ class MetricsSampler {
 
   std::vector<MetricsSample> samples_;
   std::atomic<std::uint64_t> truncated_{0};
-  std::atomic<bool> stop_{false};
+  util::StopSignal stop_;  ///< wakes the sampler's nap on stop()
   std::thread thread_;
 };
 

@@ -1021,10 +1021,11 @@ void Kernel::watchdog_main() {
   SimTime last_gvt = gvt_.load(std::memory_order_relaxed);
   std::uint64_t ticks_at_freeze = total_exec_ticks();
   std::uint64_t last_change_ns = steady_now_ns();
-  while (!done_.load(std::memory_order_acquire) &&
-         !stalled_.load(std::memory_order_acquire)) {
-    // Short naps keep end-of-run teardown latency negligible.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Check progress every 10 ms.  run() wakes the nap through
+  // watchdog_stop_ as soon as the node threads have joined, so the period
+  // sets only how often progress is sampled, not how long shutdown takes.
+  while (!watchdog_stop_.wait_for(std::chrono::milliseconds(10)) &&
+         !done_.load(std::memory_order_acquire)) {
     const SimTime g = gvt_.load(std::memory_order_relaxed);
     const std::uint64_t now = steady_now_ns();
     if (g != last_gvt) {
@@ -1168,8 +1169,9 @@ RunStats Kernel::run() {
     for (auto& t : threads) t.join();
   }
   const double wall_seconds = timer.elapsed_seconds();
-  // Unblock the watchdog promptly even on a stalled/OOM exit.
+  // Stop the watchdog now, mid-nap, on every exit path.
   done_.store(true, std::memory_order_release);
+  watchdog_stop_.request();
   if (watchdog.joinable()) watchdog.join();
 
   if (stalled_.load(std::memory_order_acquire)) dump_stall_diagnostics();

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "mem/pool.hpp"
+#include "util/stop_signal.hpp"
 #include "warped/channel.hpp"
 #include "warped/comm.hpp"
 #include "warped/gvt.hpp"
@@ -182,6 +183,8 @@ class Kernel {
   std::atomic<bool> done_{false};
   std::atomic<bool> oom_{false};
   std::atomic<bool> stalled_{false};
+  /// Wakes the watchdog's nap when run() is done with the node threads.
+  util::StopSignal watchdog_stop_;
   std::atomic<SimTime> gvt_{0};
   /// Rounds whose GVT estimate has been published (written by node 0).
   std::atomic<std::uint64_t> completed_rounds_{0};

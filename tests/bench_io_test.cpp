@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "circuit/bench_io.hpp"
 #include "circuit/generator.hpp"
 
@@ -121,6 +124,62 @@ TEST(BenchParser, EmptyFaninFails) {
   EXPECT_THROW(parse_bench_string("INPUT(a)\ng = AND()\n"), BenchParseError);
 }
 
+// Two leniencies of the accepted language, pinned so a parser rewrite
+// keeps them (or drops them on purpose): a comma that ends a fanin list is
+// ignored, and so is any text after a line's last ')'.
+TEST(BenchParser, TrailingCommaEndingFaninListIsIgnored) {
+  const Circuit c =
+      parse_bench_string("INPUT(a)\nINPUT(b)\nOUTPUT(g)\ng = AND(a, b,)\n");
+  const GateId g = c.find("g");
+  ASSERT_NE(g, kInvalidGate);
+  ASSERT_EQ(c.fanins(g).size(), 2u);
+  EXPECT_EQ(c.fanins(g)[0], c.find("a"));
+  EXPECT_EQ(c.fanins(g)[1], c.find("b"));
+  // Only the very last field may be empty.
+  EXPECT_THROW(parse_bench_string("INPUT(a)\nINPUT(b)\ng = AND(a, b, )\n"),
+               BenchParseError);
+  EXPECT_THROW(parse_bench_string("INPUT(a)\nINPUT(b)\ng = AND(a,, b)\n"),
+               BenchParseError);
+  EXPECT_THROW(parse_bench_string("INPUT(a)\ng = NOT(,)\n"), BenchParseError);
+}
+
+TEST(BenchParser, TextAfterLastParenIsIgnored) {
+  const Circuit c = parse_bench_string(
+      "INPUT(a) trailing words\nOUTPUT(g);\ng = NOT(a) junk\n");
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.fanins(c.find("g"))[0], c.find("a"));
+  // The *last* ')' closes the list: "NOT(a) x(y)" names the signal "a) x(y".
+  try {
+    parse_bench_string("INPUT(a)\ng = NOT(a) x(y)\n");
+    FAIL() << "expected BenchParseError";
+  } catch (const BenchParseError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_NE(std::string(e.what()).find("'a) x(y'"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Syntax errors are reported at the first bad line; semantic errors only
+// once the whole text is read, in a fixed order: duplicate INPUT, a signal
+// defined twice, an undefined fanin, an undefined OUTPUT, then netlist
+// validation.  An INPUT claims its name even when a gate defined it on an
+// earlier line.
+TEST(BenchParser, FirstReportedErrorFollowsCheckOrder) {
+  const auto line_of = [](const char* text) {
+    try {
+      parse_bench_string(text);
+    } catch (const BenchParseError& e) {
+      return e.line();
+    }
+    return -1;
+  };
+  EXPECT_EQ(line_of("INPUT(a)\ng = AND(a, ghost)\nh = FROB(a)\n"), 3);
+  EXPECT_EQ(line_of("g = NOT(a)\nINPUT(g)\nINPUT(a)\n"), 1);
+  EXPECT_EQ(line_of("OUTPUT(z)\nINPUT(a)\ng = NOT(q)\nINPUT(a)\n"), 0);
+  EXPECT_EQ(line_of("OUTPUT(z)\nINPUT(a)\ng = NOT(q)\n"), 3);
+  EXPECT_EQ(line_of("OUTPUT(z)\nINPUT(a)\ng = NOT(a)\n"), 0);
+}
+
 TEST(BenchParser, CombinationalCycleFails) {
   EXPECT_THROW(parse_bench_string(
                    "INPUT(a)\nx = AND(a, y)\ny = AND(a, x)\n"),
@@ -184,6 +243,33 @@ TEST(BenchWriter, RoundTripOnGeneratedCircuit) {
   EXPECT_EQ(back.num_edges(), orig.num_edges());
   EXPECT_EQ(back.flip_flops().size(), orig.flip_flops().size());
   EXPECT_EQ(back.primary_outputs().size(), orig.primary_outputs().size());
+}
+
+// The canonical stand-ins list inputs first, as the generator builds
+// them, so parsing their text gives back the generated Circuit id for id.
+TEST(BenchWriter, StandInsParseBackGateByGate) {
+  for (const char* name : {"s5378", "s9234", "s15850"}) {
+    SCOPED_TRACE(name);
+    const Circuit orig = make_iscas_like(name);
+    const Circuit back = parse_bench_string(write_bench_string(orig), name);
+    ASSERT_EQ(back.size(), orig.size());
+    EXPECT_EQ(back.primary_inputs(), orig.primary_inputs());
+    EXPECT_EQ(back.primary_outputs(), orig.primary_outputs());
+    EXPECT_EQ(back.flip_flops(), orig.flip_flops());
+    for (GateId g = 0; g < orig.size(); ++g) {
+      ASSERT_EQ(back.gate_name(g), orig.gate_name(g));
+      ASSERT_EQ(back.type(g), orig.type(g)) << orig.gate_name(g);
+      ASSERT_EQ(back.is_output(g), orig.is_output(g)) << orig.gate_name(g);
+      const auto of = orig.fanins(g);
+      const auto bf = back.fanins(g);
+      ASSERT_TRUE(std::equal(of.begin(), of.end(), bf.begin(), bf.end()))
+          << orig.gate_name(g);
+      const auto oo = orig.fanouts(g);
+      const auto bo = back.fanouts(g);
+      ASSERT_TRUE(std::equal(oo.begin(), oo.end(), bo.begin(), bo.end()))
+          << orig.gate_name(g);
+    }
+  }
 }
 
 TEST(BenchFile, MissingFileThrows) {

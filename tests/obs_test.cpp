@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <regex>
 #include <sstream>
@@ -197,6 +198,24 @@ TEST(MetricsSampler, StartStopJoinsCleanlyUnderConcurrentGaugeWrites) {
   // The final sample (taken after the writer joined) sees its last state.
   const auto& last = samples.back();
   EXPECT_EQ(last.nodes[0].events_processed, last.gvt);
+}
+
+// stop() wakes the sampler mid-nap: with a 10 s interval the thread naps
+// for the whole interval after its first sample, and stop() must not wait
+// it out.
+TEST(MetricsSampler, StopWakesALongNap) {
+  NodeGauges gauges[1];
+  std::atomic<std::uint64_t> gvt{0};
+  MetricsSampler sampler(gauges, 1, &gvt);
+  sampler.start(10'000'000);  // 10 s
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto t0 = std::chrono::steady_clock::now();
+  sampler.stop();
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_LT(secs, 1.0);
+  EXPECT_EQ(sampler.samples().size(), 2u);  // the first and the final one
 }
 
 TEST(MetricsSampler, StopWithoutStartIsANoOp) {

@@ -1,5 +1,6 @@
 // Unit tests for the util layer: RNG determinism and distribution, running
-// statistics, CSV escaping, CLI parsing, table rendering, spin calibration.
+// statistics, CSV escaping, CLI parsing, table rendering, spin calibration,
+// the name index.
 
 #include <gtest/gtest.h>
 
@@ -7,11 +8,14 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
+#include "util/name_index.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -332,6 +336,30 @@ TEST(Log, TimestampToggleRoundTrips) {
   set_log_timestamps(false);
   EXPECT_FALSE(log_timestamps());
   set_log_timestamps(before);
+}
+
+TEST(NameIndex, FindsEveryNameAcrossGrowthAndKeepsTheFirstId) {
+  std::vector<std::string> names;
+  const auto key_of = [&](std::uint32_t id) -> std::string_view {
+    return names[id];
+  };
+  NameIndex index;
+  EXPECT_EQ(index.find("g0", key_of), NameIndex::kNone);  // empty table
+  constexpr std::uint32_t kNames = 5000;  // many doublings from 16 slots
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    names.push_back("g" + std::to_string(i));
+    ASSERT_EQ(index.insert(i, key_of), i);
+  }
+  EXPECT_EQ(index.size(), kNames);
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    ASSERT_EQ(index.find(names[i], key_of), i);
+  }
+  EXPECT_EQ(index.find("g5000", key_of), NameIndex::kNone);
+  EXPECT_EQ(index.find("", key_of), NameIndex::kNone);
+  // A repeated name resolves to the id stored first; nothing is added.
+  names.push_back("g17");
+  EXPECT_EQ(index.insert(kNames, key_of), 17u);
+  EXPECT_EQ(index.size(), kNames);
 }
 
 }  // namespace

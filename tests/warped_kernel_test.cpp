@@ -1,9 +1,13 @@
 // End-to-end tests of the threaded Time Warp kernel on small hand-built LP
 // systems: determinism across node counts, accounting invariants, network
-// model, optimism throttle, periodic state saving and the OOM guard.
+// model, optimism throttle, periodic state saving, the OOM guard and the
+// deadlock watchdog.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -216,6 +220,90 @@ TEST(Kernel, PerNodeStatsSumToTotals) {
   EXPECT_EQ(sum.events_processed, out.totals.events_processed);
   EXPECT_EQ(sum.inter_node_messages, out.totals.inter_node_messages);
   EXPECT_EQ(sum.primary_rollbacks, out.totals.primary_rollbacks);
+}
+
+// ---- deadlock watchdog -----------------------------------------------------
+
+/// Channel decorator that loses the first message sent through it.  The
+/// GVT round that counts the message in flight can never close, so GVT
+/// freezes and only the watchdog can end the run.
+class LoseFirstMessageChannel final : public Channel {
+ public:
+  explicit LoseFirstMessageChannel(std::uint32_t n) : inner_(n) {}
+
+  std::uint32_t endpoints() const noexcept override {
+    return inner_.endpoints();
+  }
+  void send(std::uint32_t to, std::unique_ptr<Batch> batch) override {
+    if (!batch->msgs.empty() && !lost_.exchange(true)) {
+      batch->msgs.erase(batch->msgs.begin());
+      if (batch->msgs.empty()) return;
+    }
+    inner_.send(to, std::move(batch));
+  }
+  std::size_t drain(std::uint32_t node,
+                    std::vector<InFlight>& out) override {
+    return inner_.drain(node, out);
+  }
+  bool probably_empty(std::uint32_t node) const noexcept override {
+    return inner_.probably_empty(node);
+  }
+
+  bool lost() const { return lost_.load(); }
+
+ private:
+  InProcChannel inner_;
+  std::atomic<bool> lost_{false};
+};
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(KernelWatchdog, LostMessageStallsTheRunWithinTheTimeout) {
+  constexpr std::uint64_t kTimeoutMs = 200;
+  Ring r = make_ring(8, 5);
+  LoseFirstMessageChannel channel(2);
+  KernelConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.end_time = 2000;
+  cfg.watchdog_timeout_ms = kTimeoutMs;
+  cfg.channel = &channel;
+  Kernel kernel(r.lps, round_robin(8, 2), cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunStats out = kernel.run();
+  const double secs = seconds_since(t0);
+  ASSERT_TRUE(channel.lost());
+  EXPECT_TRUE(out.stalled);
+  EXPECT_LT(out.final_gvt, cfg.end_time);
+  EXPECT_GE(secs, kTimeoutMs / 1000.0);
+  // The timeout plus generous slack for sanitizer builds on a loaded host.
+  EXPECT_LT(secs, kTimeoutMs / 1000.0 + 5.0);
+}
+
+// run() stops the watchdog mid-nap once the node threads join, so a short
+// run does not sleep out the watchdog's 10 ms progress period on its way
+// out.
+TEST(KernelWatchdog, ShutdownDoesNotWaitOutTheWatchdogNap) {
+  constexpr int kRuns = 20;
+  double teardown = 0;
+  for (int i = 0; i < kRuns; ++i) {
+    Ring r = make_ring(4, 5);
+    KernelConfig cfg;
+    cfg.num_nodes = 2;
+    cfg.end_time = 50;
+    ASSERT_GT(cfg.watchdog_timeout_ms, 0u);  // on by default
+    Kernel kernel(r.lps, round_robin(4, 2), cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    const RunStats out = kernel.run();
+    const double secs = seconds_since(t0);
+    ASSERT_FALSE(out.stalled);
+    teardown += secs - out.wall_seconds;
+  }
+  std::printf("%d runs: %.3f ms from wall_seconds to run() returning\n",
+              kRuns, teardown * 1e3);
+  EXPECT_LT(teardown, 0.020) << "over " << kRuns << " runs";
 }
 
 }  // namespace
